@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check-test chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample snapshot ci
+.PHONY: build vet test race check-test chaos-smoke scale-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke bench obs-bench manifest-sample snapshot ci
 
 build:
 	$(GO) build ./...
@@ -38,24 +38,15 @@ chaos-smoke:
 scale-smoke:
 	PASE_CHECK=1 PASE_SCALE_SMOKE=1 $(GO) test -run 'TestScaleSmoke' -count=1 -v ./internal/experiments/
 
-# Sharded-engine smoke: the serial-equality pins (digests, golden TSV,
-# streaming, faults, GOMAXPROCS) under the forced invariant checker,
-# the race detector over the worker-barrier machinery, and one
-# 10^5-flow sharded streaming run end to end.
-shard-smoke:
-	PASE_CHECK=1 $(GO) test -run 'TestSharded' -count=1 -v ./internal/experiments/ ./internal/sim/
-	$(GO) test -race -run 'TestSharded' -count=1 ./internal/experiments/ ./internal/sim/
-	PASE_CHECK=1 $(GO) run ./cmd/pasesim -scenario leaf-spine-wide -protocol DCTCP -scale 100000 -load 0.6 -shards 4 -progress=false
-
 # Flight-recorder smoke: the traced-run determinism pins (Perfetto
-# bytes identical at shards 0-4, stream/stored, faulted chaos, golden
-# trace) under the forced invariant checker, then one checked, sharded,
-# streamed, faulted traced run end to end whose trace the pasetrace
-# analyzer must validate and digest (exit 0).
+# bytes identical stream/stored, faulted chaos re-run, golden trace)
+# under the forced invariant checker, then one checked, streamed,
+# faulted traced run end to end whose trace the pasetrace analyzer
+# must validate and digest (exit 0).
 trace-smoke:
 	mkdir -p artifacts
 	PASE_CHECK=1 $(GO) test -run 'TestTraced|TestPASETrace|TestTraceSampling|TestGoldenPerfetto' -count=1 -v ./internal/experiments/ ./internal/trace/
-	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol DCTCP -scenario left-right -load 0.7 -flows 2000 -shards 4 -stream -check \
+	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol DCTCP -scenario left-right -load 0.7 -flows 2000 -stream -check \
 		-faults "loss:rate=0.002" -trace artifacts/trace-smoke.json -progress=false
 	$(GO) run ./cmd/pasetrace artifacts/trace-smoke.json
 
@@ -73,17 +64,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantileSketch$$' -fuzztime 10s ./internal/metrics/
 
 # ExpressPass conformance gate: the credit transport's digest suite
-# (pinned digest, sharded equality at 0-4 shards, stream==stored,
-# faulted chaos, incast regression, highspeed sweep) under the forced
+# (pinned digest, stream==stored, faulted chaos re-run, incast
+# regression, highspeed sweep) under the forced
 # invariant checker — credit_pace included — then one checked
 # 10^5-flow 100 Gbps incast run end to end.
 highspeed-smoke:
-	PASE_CHECK=1 $(GO) test -run 'TestConformanceDigest|TestShardedDigestEquality|TestExpressPass|TestHighspeed' -count=1 -v ./internal/experiments/
+	PASE_CHECK=1 $(GO) test -run 'TestConformanceDigest|TestExpressPass|TestHighspeed' -count=1 -v ./internal/experiments/
 	PASE_CHECK=1 $(GO) run ./cmd/pasesim -protocol ExpressPass -scenario incast-256 -load 0.7 -flows 100000 -stream -check -progress=false
 
 # Routing-control-loop gate: the route-table unit pins (clean == pure
 # ECMP, minimal-churn failover, exact recovery, link-ID helpers), the
-# te-failover survival + control-arm + sharded-equality + idle
+# te-failover survival + control-arm + determinism + idle
 # non-interference pins under the forced invariant checker
 # (route_valid / route_loop included), then one checked rerouted run
 # through a real uplink outage end to end.
@@ -94,7 +85,7 @@ te-smoke:
 
 # Arbitration-control-plane gate: the hierarchy unit suite and tree
 # fuzzer seeds, the control-plane conformance pins (hierarchy /
-# deep-hierarchy / centralized digests, shard equality, scaling
+# deep-hierarchy / centralized digests, re-run determinism, scaling
 # acceptance) under the forced invariant checker, then one checked
 # 512-rack run per arm end to end — the hierarchy at datacenter scale
 # and the centralized comparison on the same fabric.
@@ -131,4 +122,4 @@ manifest-sample:
 snapshot:
 	$(GO) run ./cmd/benchsnap
 
-ci: vet build test race check-test chaos-smoke scale-smoke shard-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench
+ci: vet build test race check-test chaos-smoke scale-smoke trace-smoke fuzz-smoke highspeed-smoke te-smoke ctrlscale-smoke bench-smoke obs-bench

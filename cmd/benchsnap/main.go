@@ -51,11 +51,6 @@ type Snapshot struct {
 	// Memory compares the stored collector against the streaming sink
 	// on one identical point, pinning the bounded-memory trajectory.
 	Memory *MemBench `json:"memory,omitempty"`
-	// Sharded records serial-vs-sharded wall clock for a figure point
-	// and a streaming scale point. Speedup needs at least as many cores
-	// as shards — on a single-core host (see GOMAXPROCS) the column
-	// records the sharding machinery's overhead instead.
-	Sharded *ShardBench `json:"sharded,omitempty"`
 	// Trace compares a figure-9a point with and without the span flight
 	// recorder attached, pinning the flight recorder's cost. The
 	// recorder budget is ≤2% overhead when disabled; the on-column
@@ -120,28 +115,6 @@ type TraceBench struct {
 	OverheadPct float64 `json:"overhead_pct"`
 }
 
-// ShardBench is the sharded-engine speedup record.
-type ShardBench struct {
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Points     []ShardPoint `json:"points"`
-}
-
-// ShardPoint is one workload run serially and at each shard count.
-type ShardPoint struct {
-	Name     string        `json:"name"`
-	Flows    int           `json:"flows"`
-	SerialMS float64       `json:"serial_ms"`
-	Runs     []ShardTiming `json:"runs"`
-}
-
-// ShardTiming is one sharded run of the point; Speedup is serial wall
-// over sharded wall (> 1 = faster).
-type ShardTiming struct {
-	Shards  int     `json:"shards"`
-	WallMS  float64 `json:"wall_ms"`
-	Speedup float64 `json:"speedup"`
-}
-
 // MemBench is the streaming-vs-stored memory comparison: one point
 // (DCTCP, intra-rack, load 0.6) run twice, measuring bytes allocated
 // over the run and bytes still live after it (post-GC, result held).
@@ -173,19 +146,17 @@ type FigureRecord struct {
 
 func main() {
 	var (
-		figs        = flag.String("figs", "3,9a,9b,10a,10c,probing", "comma-separated figure ids to snapshot")
-		flows       = flag.Int("flows", 250, "foreground flows per simulation point")
-		seed        = flag.Uint64("seed", 1, "workload seed")
-		loads       = flag.String("loads", "0.5,0.8", "load sweep for the swept figures")
-		parallel    = flag.Int("parallel", 0, "simulation points run concurrently (0 = one per CPU)")
-		memflows    = flag.Int("memflows", 20_000, "flows for the streaming-vs-stored memory comparison (0 disables)")
-		shardflows  = flag.Int("shardflows", 100_000, "flows for the sharded speedup scale point (0 disables the section)")
-		shardcounts = flag.String("shardcounts", "2,4,8", "shard counts to time against the serial engine")
-		traceflows  = flag.Int("traceflows", 2000, "flows for the trace-on/off overhead point (0 disables the section)")
-		teflows     = flag.Int("teflows", 2000, "flows for the routing/TE control-loop overhead point (0 disables the section)")
-		ctrlflows   = flag.Int("ctrlflows", 400, "flows for the arbitration control-plane section (0 disables the section)")
-		ctrlracks   = flag.Int("ctrlracks", 64, "ctrlscale fabric size for the control-plane section")
-		out         = flag.String("out", "", "output file or directory (default BENCH_<date>.json in the working directory)")
+		figs       = flag.String("figs", "3,9a,9b,10a,10c,probing", "comma-separated figure ids to snapshot")
+		flows      = flag.Int("flows", 250, "foreground flows per simulation point")
+		seed       = flag.Uint64("seed", 1, "workload seed")
+		loads      = flag.String("loads", "0.5,0.8", "load sweep for the swept figures")
+		parallel   = flag.Int("parallel", 0, "simulation points run concurrently (0 = one per CPU)")
+		memflows   = flag.Int("memflows", 20_000, "flows for the streaming-vs-stored memory comparison (0 disables)")
+		traceflows = flag.Int("traceflows", 2000, "flows for the trace-on/off overhead point (0 disables the section)")
+		teflows    = flag.Int("teflows", 2000, "flows for the routing/TE control-loop overhead point (0 disables the section)")
+		ctrlflows  = flag.Int("ctrlflows", 400, "flows for the arbitration control-plane section (0 disables the section)")
+		ctrlracks  = flag.Int("ctrlracks", 64, "ctrlscale fabric size for the control-plane section")
+		out        = flag.String("out", "", "output file or directory (default BENCH_<date>.json in the working directory)")
 	)
 	flag.Parse()
 
@@ -243,18 +214,6 @@ func main() {
 	if *memflows > 0 {
 		snap.Memory = benchMemory(*memflows)
 	}
-	if *shardflows > 0 {
-		var counts []int
-		for _, s := range strings.Split(*shardcounts, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 2 {
-				fmt.Fprintf(os.Stderr, "benchsnap: bad shard count %q\n", s)
-				os.Exit(1)
-			}
-			counts = append(counts, n)
-		}
-		snap.Sharded = benchSharded(*shardflows, counts)
-	}
 	if *traceflows > 0 {
 		snap.Trace = benchTrace(*traceflows, 3)
 	}
@@ -290,18 +249,6 @@ func main() {
 		fmt.Printf("memory @ %d flows: stored %d KB retained / %d MB allocated, streaming %d KB retained / %d MB allocated\n",
 			m.Flows, m.StoredRetainedBytes>>10, m.StoredAllocBytes>>20,
 			m.StreamRetainedBytes>>10, m.StreamAllocBytes>>20)
-	}
-	if sb := snap.Sharded; sb != nil {
-		for _, p := range sb.Points {
-			line := fmt.Sprintf("sharded %s @ %d flows: serial %.0f ms", p.Name, p.Flows, p.SerialMS)
-			for _, r := range p.Runs {
-				line += fmt.Sprintf(", %d shards %.0f ms (%.2fx)", r.Shards, r.WallMS, r.Speedup)
-			}
-			fmt.Println(line)
-		}
-		if sb.GOMAXPROCS < 2 {
-			fmt.Println("note: single-core host — sharded timings measure overhead, not speedup")
-		}
 	}
 	if tb := snap.Trace; tb != nil {
 		fmt.Printf("trace @ %d flows: off %.0f ms, on %.0f ms (%+.1f%% recording overhead)\n",
@@ -452,58 +399,6 @@ func benchTrace(flows, reps int) *TraceBench {
 	on := best(traced)
 	return &TraceBench{Flows: flows, Reps: reps, OffMS: off, OnMS: on,
 		OverheadPct: 100 * (on - off) / off}
-}
-
-// benchSharded times the serial engine against each shard count on
-// three workloads: a figure-9a-style stored point (DCTCP left-right),
-// a streaming scale point on the wide leaf-spine fabric, and an
-// ExpressPass highspeed-figure point (credit pacing keeps every queue
-// shallow, so its event mix differs sharply from the window-based
-// transports and pins the credit plane's cost). Each sharded
-// run's summary is checked against the serial run — the contract is
-// byte-identical results, so a mismatch fails the snapshot.
-func benchSharded(scaleFlows int, counts []int) *ShardBench {
-	sb := &ShardBench{GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	points := []struct {
-		name string
-		cfg  experiments.PointConfig
-	}{
-		{"fig9a-point", experiments.PointConfig{
-			Protocol: experiments.DCTCP, Scenario: experiments.LeftRight,
-			Load: 0.5, Seed: 1, NumFlows: 2000,
-		}},
-		{"leaf-spine-wide-stream", experiments.PointConfig{
-			Protocol: experiments.DCTCP, Scenario: experiments.LeafSpineWide,
-			Load: 0.6, Seed: 1, NumFlows: scaleFlows, Stream: true,
-		}},
-		{"expresspass-highspeed", experiments.PointConfig{
-			Protocol: experiments.ExpressPass, Scenario: experiments.Highspeed100,
-			Load: 0.6, Seed: 1, NumFlows: 2000,
-		}},
-	}
-	for _, p := range points {
-		rec := ShardPoint{Name: p.name, Flows: p.cfg.NumFlows}
-		start := time.Now()
-		serial := experiments.RunPoint(p.cfg)
-		rec.SerialMS = float64(time.Since(start).Microseconds()) / 1000
-		for _, n := range counts {
-			cfg := p.cfg
-			cfg.Shards = n
-			start = time.Now()
-			r := experiments.RunPoint(cfg)
-			wall := float64(time.Since(start).Microseconds()) / 1000
-			if r.Summary != serial.Summary {
-				fmt.Fprintf(os.Stderr, "benchsnap: sharded %s @ %d shards diverged from serial:\n%+v\n%+v\n",
-					p.name, n, serial.Summary, r.Summary)
-				os.Exit(1)
-			}
-			rec.Runs = append(rec.Runs, ShardTiming{
-				Shards: n, WallMS: wall, Speedup: rec.SerialMS / wall,
-			})
-		}
-		sb.Points = append(sb.Points, rec)
-	}
-	return sb
 }
 
 // benchEngine measures the simulator hot path in-process: the

@@ -46,7 +46,6 @@ func main() {
 		chkFlag   = flag.Bool("check", false, "run every point with the runtime invariant checker; exit 1 on any violation")
 		faultSpec = flag.String("faults", "", `fault-injection plan applied to every simulation point, e.g. "ctrl:drop=0.2"`)
 		stream    = flag.Bool("stream", false, "run every point on the bounded-memory streaming path (sketch quantiles)")
-		shards    = flag.Int("shards", 0, "engine shards per simulation point (0/1 = serial; output is identical at any setting; multiplies with -parallel)")
 		traceOn   = flag.Bool("trace", false, "attach the span flight recorder to every point; trace/* retention counters and arb/rtt/* histograms land in the manifest snapshot")
 		traceN    = flag.Int("trace-sample", 1, "with -trace, keep 1-in-N flow traces (violating/faulted flows always kept)")
 		scale     = flag.Int("scale", 0, "shortcut for the scale figure: -fig scale -stream with this many flows at the sweep top")
@@ -72,7 +71,7 @@ func main() {
 	}
 	opts := pase.FigureOpts{NumFlows: *flows, Seed: *seed, Seeds: *seeds,
 		Parallelism: *parallel, Obs: *obs, Check: *chkFlag, Stream: *stream,
-		Shards: *shards, Trace: *traceOn, TraceSampleN: *traceN,
+		Trace: *traceOn, TraceSampleN: *traceN,
 		Ctrl: *ctrl, Racks: *racks}
 	if *faultSpec != "" {
 		plan, err := pase.ParseFaults(*faultSpec)

@@ -53,7 +53,7 @@ func main() {
 		queueInt  = flag.Duration("queueinterval", 100*time.Microsecond, "queue sampling interval for -queuetrace")
 		traceOut  = flag.String("trace", "", "write the span-based flight recording as Perfetto trace-event JSON to this file (inspect with pasetrace or ui.perfetto.dev)")
 		traceN    = flag.Int("trace-sample", 0, "keep 1 in N flow traces (0/1 = all; misbehaving flows are always kept)")
-		traceSp   = flag.Bool("trace-spill", false, "stream the -trace output as flows complete (O(in-flight) memory; forces the serial engine)")
+		traceSp   = flag.Bool("trace-spill", false, "stream the -trace output as flows complete (O(in-flight) memory)")
 		outcomes  = flag.String("outcomes", "", "write per-flow outcomes (size, fct, deadline, retx) as TSV to this file")
 		faultSpec = flag.String("faults", "", `fault-injection plan, e.g. "loss:link=*,class=data,rate=0.01; ctrl:drop=0.2"`)
 		reroute   = flag.Bool("reroute", false, "leaf-spine fabrics: reroute around failed fabric links (reacts to -faults link outages)")
@@ -61,7 +61,6 @@ func main() {
 		teEpoch   = flag.Duration("te-epoch", 0, "TE decision period (0 = 1ms default)")
 		abortAft  = flag.Duration("abort-after", 0, "abort flows making no forward progress for this long (0 = never; aborted flows are excluded from AFCT)")
 		stream    = flag.Bool("stream", false, "bounded-memory streaming run: iterator arrivals, recycled flow state, sketch quantiles")
-		shards    = flag.Int("shards", 0, "engine shards for the run (0/1 = serial; results and traces byte-identical at any setting; PASE/PDQ fall back to serial)")
 		scale     = flag.Int("scale", 0, "shortcut for a large streaming run: implies -stream with this many flows")
 		obs       = flag.Bool("obs", false, "collect run observability and write a manifest (see -manifest)")
 		chkFlag   = flag.Bool("check", false, "run with the runtime invariant checker; exit 1 on any violation")
@@ -88,9 +87,6 @@ func main() {
 	if *traceSp && *traceOut == "" {
 		fail(fmt.Errorf("-trace-spill needs -trace <file>"))
 	}
-	if *traceSp && *shards > 1 {
-		fail(fmt.Errorf("-trace-spill streams to a single writer and needs the serial engine; drop -shards"))
-	}
 
 	cfg := pase.SimConfig{
 		IncludeFlowLog: *outcomes != "",
@@ -102,7 +98,6 @@ func main() {
 		Obs:            *obs,
 		Check:          *chkFlag,
 		Stream:         *stream,
-		Shards:         *shards,
 		Reroute:        *reroute,
 		TE:             *teFlag,
 		TEEpoch:        *teEpoch,
@@ -157,7 +152,7 @@ func main() {
 	if *traceSp {
 		cfg.TraceSpill = openSpill(*traceOut)
 	}
-	flowLogSpills := *stream && *flowLog != "" && *shards <= 1
+	flowLogSpills := *stream && *flowLog != ""
 	if flowLogSpills {
 		cfg.FlowTraceSpill = openSpill(*flowLog)
 	}

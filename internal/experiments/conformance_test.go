@@ -41,6 +41,20 @@ func conformancePoint(p Protocol) PointConfig {
 	}
 }
 
+// runChecked runs cfg and fails the test on any invariant violation or
+// a run that completed no flows.
+func runChecked(t *testing.T, cfg PointConfig) PointResult {
+	t.Helper()
+	r := RunPoint(cfg)
+	if r.Violations != 0 {
+		t.Fatalf("invariant checker reported %d violations:\n%v", r.Violations, r.CheckViolations)
+	}
+	if r.Summary.Completed == 0 {
+		t.Fatal("no flows completed")
+	}
+	return r
+}
+
 // digestResult folds a point's per-flow outcomes and queue totals into
 // one FNV-1a value. Records are sorted by flow ID first so the digest
 // pins behavior, not collection order.

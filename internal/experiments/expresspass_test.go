@@ -9,10 +9,10 @@ import (
 	"pase/internal/sim"
 )
 
-// ExpressPass conformance: beyond the pinned digest (conformance_test)
-// and the sharded equality sweep (sharded_test), the credit transport
-// must stream exactly like it stores, shard byte-identically under
-// fault chaos, and hold its construction guarantee — zero data-plane
+// ExpressPass conformance: beyond the pinned digest (conformance_test),
+// the credit transport must stream exactly like it stores, re-run
+// byte-identically under fault chaos, and hold its construction
+// guarantee — zero data-plane
 // drops with a bounded queue peak — in the massive-incast scenarios
 // where window-based transports overrun shallow buffers.
 
@@ -56,11 +56,14 @@ func TestExpressPassStreamMatchesStored(t *testing.T) {
 }
 
 // TestExpressPassFaultedDigest: link flaps, drops and corruption must
-// not break sharded determinism — the faulted digest is identical at
-// every shard count (credits and credit requests lost to faults are
-// recovered by the sender's RTO re-request).
+// not break determinism — a faulted run re-runs to the identical
+// digest (credits and credit requests lost to faults are recovered by
+// the sender's RTO re-request).
 func TestExpressPassFaultedDigest(t *testing.T) {
-	cfg := shardPoint(ExpressPass, LeftRight)
+	cfg := PointConfig{
+		Protocol: ExpressPass, Scenario: LeftRight,
+		Load: 0.8, Seed: 7, NumFlows: 120, Check: true,
+	}
 	cfg.Faults = &faults.Plan{
 		Seed: 3,
 		Links: []faults.LinkFault{
@@ -71,14 +74,9 @@ func TestExpressPassFaultedDigest(t *testing.T) {
 			{Link: -1, Class: faults.DataClass, Corrupt: 0.01},
 		},
 	}
-	want := digestResult(runShards(t, cfg, 0))
-	if rerun := digestResult(runShards(t, cfg, 0)); rerun != want {
+	want := digestResult(runChecked(t, cfg))
+	if rerun := digestResult(runChecked(t, cfg)); rerun != want {
 		t.Fatalf("faulted serial run not deterministic: %#x vs %#x", rerun, want)
-	}
-	for _, shards := range []int{2, 4} {
-		if got := digestResult(runShards(t, cfg, shards)); got != want {
-			t.Errorf("shards=%d: faulted digest %#x, want serial %#x", shards, got, want)
-		}
 	}
 }
 

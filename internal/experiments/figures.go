@@ -56,14 +56,6 @@ type Opts struct {
 	// SketchEps overrides the streaming sketch's relative error bound
 	// (0 = metrics.DefaultSketchEps).
 	SketchEps float64
-	// Shards splits every point's fabric across this many
-	// independently-clocked engine shards (0 or 1 = serial). Results are
-	// byte-identical to serial runs at every setting; points that cannot
-	// shard (PASE, PDQ, spill-mode trace writers, single-atom
-	// topologies) silently fall back to the serial engine. Note the
-	// multiplicative core budget with Parallelism: a pooled figure runs
-	// up to Parallelism × Shards goroutines at once.
-	Shards int
 	// Trace applies a trace configuration to every point that does not
 	// carry its own. Figure grids keep only scalars per point, so the
 	// recorded traces themselves are dropped — but the flight
@@ -949,8 +941,7 @@ func figCtrlScale(o Opts) *Result {
 
 // teUplinkChaos downs the first k leaf→spine-0 uplinks, staggered
 // TEFaultStagger apart so no two rules fire at one instant and none
-// lands on a TE-epoch multiple — same-instant fault rules on
-// different shards would race for rank order in sharded runs.
+// lands on a TE-epoch multiple (see TEFaultStart).
 func teUplinkChaos(ls topology.LeafSpineConfig, k int, seed uint64) *faults.Plan {
 	if k <= 0 {
 		return nil

@@ -64,9 +64,6 @@ type ManifestParams struct {
 	// (0 = metrics.DefaultSketchEps).
 	Stream    bool    `json:"stream,omitempty"`
 	SketchEps float64 `json:"sketch_eps,omitempty"`
-	// Shards records the per-point engine shard count (0/1 = serial;
-	// results are byte-identical either way).
-	Shards int `json:"shards,omitempty"`
 }
 
 // GitRev returns the VCS revision baked into the binary by the Go
@@ -106,7 +103,6 @@ func NewManifest(tool string, res *Result, o Opts, started time.Time, wall time.
 			Parallelism: o.Parallelism,
 			Stream:      o.Stream,
 			SketchEps:   o.SketchEps,
-			Shards:      o.Shards,
 		},
 		PeakRSSBytes: peakRSS(),
 	}

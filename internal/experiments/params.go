@@ -113,10 +113,12 @@ const WorkerFanin = 19
 // Routing-control-loop (te figure) parameters: the chaos plan downs
 // leaf→spine-0 uplinks one per TEFaultStagger starting at TEFaultStart
 // — staggered so no two rules share an instant and none lands on a
-// TE-epoch multiple (same-instant fault rules on different shards
-// would race for rank order in sharded runs) — each outage lasting
-// TEFaultFor; TEAbortAfter is the progress deadline that turns
-// blackholed flows into aborts.
+// TE-epoch multiple, so each outage is a separate reroute and no TE
+// epoch measures a link that changes state at that same instant (its
+// outcome would then hinge on event tie-breaking, not on the control
+// loop) — each outage lasting TEFaultFor; TEAbortAfter is the progress
+// deadline that turns blackholed flows into aborts. The te-failover
+// digests pin these values.
 const (
 	TEFaultStart   = 3100 * sim.Microsecond
 	TEFaultStagger = 1000 * sim.Microsecond

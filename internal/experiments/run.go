@@ -73,9 +73,8 @@ const (
 	// LeafSpine: extension — a 4-leaf × 2-spine multipath fabric with
 	// per-flow ECMP; flows cross leaves (short-message workload).
 	LeafSpine Scenario = "leaf-spine"
-	// LeafSpineWide: a wider 8-leaf × 4-spine fabric (80 hosts,
-	// 12 partition atoms) used by the sharded-engine benchmarks — enough
-	// atoms that -shards 8 still gets distinct work per shard.
+	// LeafSpineWide: a wider 8-leaf × 4-spine fabric (80 hosts) for
+	// larger-fabric DCTCP-family runs and benchmarks.
 	LeafSpineWide Scenario = "leaf-spine-wide"
 	// TEFailover: a 4-leaf × 3-spine fabric (non-power-of-two spine
 	// count, so ECMP bucket math gets exercised off the easy modulus)
@@ -102,7 +101,7 @@ const (
 	// workload spreads all-to-all over a growing fabric, so the data
 	// plane's job stays comparable while the control plane's span
 	// grows — the axis the figure measures. PASE runs the deep
-	// hierarchy here by default (fan-out 4, sharded root).
+	// hierarchy here by default (fan-out 4, two root shards).
 	CtrlScale Scenario = "ctrlscale"
 )
 
@@ -212,15 +211,6 @@ type PointConfig struct {
 	// SketchEps is the streaming quantile sketch's relative error
 	// bound (0 = metrics.DefaultSketchEps).
 	SketchEps float64
-	// Shards splits the single run across this many engine shards
-	// synchronized by conservative lookahead (0 or 1 = serial).
-	// Results are byte-identical to serial at every shard count —
-	// including trace output: traced runs shard too, recording into
-	// per-shard buffers merged in canonical order. Protocols with
-	// fabric-synchronous control planes (PASE, PDQ), spill-mode trace
-	// writers, and single-atom fabrics fall back to serial — the
-	// shard/fallback_serial counter records it when Obs is set.
-	Shards int
 }
 
 // PointResult is what one simulation yields.
@@ -598,9 +588,7 @@ func queueFactory(p Protocol, sp scenarioSpec, numQueues int, reg *obs.Registry)
 }
 
 // bindCreditQueues connects every CreditQueue to its port — engine
-// clock, transmitter kick and rate-derived pacing gap. Serial and
-// sharded builds call it at the same position so runs stay
-// byte-identical.
+// clock, transmitter kick and rate-derived pacing gap.
 func bindCreditQueues(net *topology.Network) {
 	for _, l := range net.Links {
 		if cq, ok := l.Port.Queue().(*netem.CreditQueue); ok {
@@ -611,19 +599,6 @@ func bindCreditQueues(net *topology.Network) {
 
 // RunPoint executes one simulation point.
 func RunPoint(cfg PointConfig) PointResult {
-	if cfg.Shards > 1 {
-		if reason := shardFallback(cfg); reason != "" {
-			return runPointSerial(cfg, reason)
-		}
-		return runPointSharded(cfg)
-	}
-	return runPointSerial(cfg, "")
-}
-
-// runPointSerial is the single-engine path; fallback, when non-empty,
-// names why a sharded request degraded to serial (recorded in the obs
-// snapshot).
-func runPointSerial(cfg PointConfig, fallback string) PointResult {
 	sp := scenario(cfg.Scenario)
 	numFlows := cfg.NumFlows
 	if numFlows == 0 {
@@ -637,10 +612,6 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 	var reg *obs.Registry
 	if cfg.Obs {
 		reg = obs.NewRegistry()
-	}
-	if fallback != "" {
-		reg.Counter("shard/fallback_serial").Inc()
-		reg.Counter("shard/fallback_serial/" + fallback).Inc()
 	}
 	eng := sim.NewEngine()
 	eng.Instrument(reg)
@@ -678,26 +649,26 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 		inj.Arm()
 	}
 
-	// Routing control loop: attached right after fault arming in both
-	// the serial and sharded paths so its TE epoch timers hold the same
-	// setup rank slots. routeRec is bound later, once the recorder
-	// exists.
-	var routeRec func(ev trace.RouteEvent)
-	var routeCtl *route.Controller
+	// The flight recorder schedules nothing, so it can exist before
+	// the routing loop that records into it.
+	var rec *trace.Recorder
+	var pstream *trace.PerfettoStream
+	if cfg.Trace.Spans {
+		rec = trace.NewRecorder(eng, trace.RecorderConfig{
+			SampleN: cfg.Trace.SampleN, Seed: cfg.Seed, FlowCap: cfg.Trace.FlowCap,
+		})
+		if cfg.Trace.SpanWriter != nil {
+			pstream = trace.NewPerfettoStream(cfg.Trace.SpanWriter)
+			rec.SpillTo(pstream)
+		}
+		rec.SetMeta(traceMeta(cfg, net))
+	}
+
+	// Routing control loop: attached right after fault arming, so its
+	// TE epoch timers keep their place in the setup schedule order.
 	if cfg.Route.Enabled() && net.IsLeafSpine() {
-		routeCtl = route.Attach(route.Params{
-			Net: net, Cfg: cfg.Route,
-			EngineOf: func(int) *sim.Engine { return eng },
-			Deliver: func(_ netem.Node, _ int, fn func()) {
-				eng.Schedule(net.Cfg.LinkDelay, fn)
-			},
-			ChkOf: func(int) *check.Checker { return chk },
-			RegOf: func(int) *obs.Registry { return reg },
-			Record: func(_ int, ev trace.RouteEvent) {
-				if routeRec != nil {
-					routeRec(ev)
-				}
-			},
+		routeCtl := route.Attach(route.Params{
+			Net: net, Cfg: cfg.Route, Chk: chk, Reg: reg, Rec: rec,
 		})
 		if inj != nil && routeCtl != nil {
 			inj.OnLinkState = routeCtl.LinkState
@@ -788,12 +759,9 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 	// Tracing hooks chain after protocol attach: PDQ and PASE claim
 	// OnFlowDone above, and the traces must observe those runs too.
 	// None of the hooks schedule events; only the sampler does, and it
-	// is created last so its setup slot mirrors the sharded path.
+	// is created last, after every other setup Schedule call.
 	var flog *trace.FlowLog
 	var sampler *trace.Sampler
-	var rec *trace.Recorder
-	var srec *trace.ShardRecorder
-	var pstream *trace.PerfettoStream
 	if cfg.Trace.FlowLog {
 		flog = &trace.FlowLog{Cap: traceCap(cfg.Trace.FlowLogCap, trace.DefaultFlowLogCap)}
 		if cfg.Trace.FlowLogWriter != nil {
@@ -802,32 +770,10 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 			}
 		}
 	}
-	if cfg.Trace.Spans {
-		rec = trace.NewRecorder(trace.RecorderConfig{
-			SampleN: cfg.Trace.SampleN, Seed: cfg.Seed, FlowCap: cfg.Trace.FlowCap,
-		})
-		if cfg.Trace.SpanWriter != nil {
-			pstream = trace.NewPerfettoStream(cfg.Trace.SpanWriter)
-			rec.SpillTo(pstream)
-		}
-		srec = rec.Shard(eng)
-		rec.SetMeta(traceMeta(cfg, net))
-		if routeCtl != nil {
-			routeRec = srec.Route
-		}
-		if paseT != nil {
-			wirePASETraceHooks(srec, paseT, paseSys)
-		}
+	if rec != nil && paseT != nil {
+		wirePASETraceHooks(rec, paseT, paseSys)
 	}
-	var flogOf func(pkt.NodeID) *trace.FlowLog
-	if flog != nil {
-		flogOf = func(pkt.NodeID) *trace.FlowLog { return flog }
-	}
-	var recOf func(pkt.NodeID) *trace.ShardRecorder
-	if srec != nil {
-		recOf = func(pkt.NodeID) *trace.ShardRecorder { return srec }
-	}
-	wireTraceHooks(cfg, d, flogOf, recOf)
+	wireTraceHooks(cfg, d, flog, rec)
 	if cfg.Trace.QueueSample > 0 {
 		sampler = trace.NewSampler(eng, cfg.Trace.QueueSample, trace.AllPorts(net))
 		sampler.Cap = traceCap(cfg.Trace.SampleCap, trace.DefaultSampleCap)
@@ -895,14 +841,14 @@ func runPointSerial(cfg PointConfig, fallback string) PointResult {
 			}
 		} else {
 			// Canonicalize even in serial: execution order within one
-			// instant is not the (At, Flow, kind) order sharded merges
-			// produce, and the two must match byte for byte.
-			res.FlowEvents, _ = trace.MergeFlowEvents([]*trace.FlowLog{flog}, flog.Cap)
+			// instant is not the (At, Flow, kind) order, and the
+			// buffered and spilled exports must match byte for byte.
+			res.FlowEvents = flog.Sorted()
 		}
 	}
 	if sampler != nil {
 		sampler.Stop()
-		res.QueueSamples, _ = trace.MergeQueueSamples([]*trace.Sampler{sampler}, sampler.Cap)
+		res.QueueSamples = sampler.Samples()
 	}
 	if rec != nil {
 		rt := rec.Take()
@@ -1063,15 +1009,11 @@ func scrapeTrace(reg *obs.Registry, rt *trace.RunTrace) {
 
 // wireTraceHooks installs the flow-log and flight-recorder hooks on the
 // driver, chaining after any protocol-installed completion hook.
-// flogOf/recOf route a flow to its shard's instances by source host
-// (constant in serial runs); either may be nil when that trace is off.
-// The hooks observe only — they never schedule events — so installing
-// them cannot perturb the simulation.
-func wireTraceHooks(cfg PointConfig, d *transport.Driver,
-	flogOf func(src pkt.NodeID) *trace.FlowLog,
-	recOf func(src pkt.NodeID) *trace.ShardRecorder) {
-
-	if flogOf == nil && recOf == nil {
+// Either may be nil when that trace is off. The hooks observe only —
+// they never schedule events — so installing them cannot perturb the
+// simulation.
+func wireTraceHooks(cfg PointConfig, d *transport.Driver, flog *trace.FlowLog, rec *trace.Recorder) {
+	if flog == nil && rec == nil {
 		return
 	}
 	// PASE holds a new flow at the source until its first arbitration
@@ -1079,14 +1021,14 @@ func wireTraceHooks(cfg PointConfig, d *transport.Driver,
 	held := cfg.Protocol == PASE || cfg.Protocol == ExpressPass
 	prevStart := d.OnFlowStart
 	d.OnFlowStart = func(s *transport.Sender) {
-		if flogOf != nil {
-			flogOf(s.Spec.Src).Add(trace.FlowEvent{
+		if flog != nil {
+			flog.Add(trace.FlowEvent{
 				At: s.Now(), Kind: "start",
 				Flow: s.Spec.ID, Src: s.Spec.Src, Dst: s.Spec.Dst, Size: s.Spec.Size,
 			})
 		}
-		if recOf != nil {
-			recOf(s.Spec.Src).FlowArrive(s.Spec.ID, s.Spec.Src, s.Spec.Dst, s.Spec.Size, 0, held)
+		if rec != nil {
+			rec.FlowArrive(s.Spec.ID, s.Spec.Src, s.Spec.Dst, s.Spec.Size, 0, held)
 		}
 		if prevStart != nil {
 			prevStart(s)
@@ -1094,7 +1036,7 @@ func wireTraceHooks(cfg PointConfig, d *transport.Driver,
 	}
 	prevDone := d.OnFlowDone
 	d.OnFlowDone = func(s *transport.Sender) {
-		if flogOf != nil {
+		if flog != nil {
 			e := trace.FlowEvent{
 				At: s.Now(), Kind: "done",
 				Flow: s.Spec.ID, Src: s.Spec.Src, Dst: s.Spec.Dst, Size: s.Spec.Size,
@@ -1104,22 +1046,22 @@ func wireTraceHooks(cfg PointConfig, d *transport.Driver,
 			} else {
 				e.FCT = s.FinishTime.Sub(s.Spec.Start)
 			}
-			flogOf(s.Spec.Src).Add(e)
+			flog.Add(e)
 		}
-		if recOf != nil {
-			recOf(s.Spec.Src).FlowEnd(s.Spec.ID, s.Aborted)
+		if rec != nil {
+			rec.FlowEnd(s.Spec.ID, s.Aborted)
 		}
 		if prevDone != nil {
 			prevDone(s)
 		}
 	}
-	if recOf != nil {
+	if rec != nil {
 		for _, st := range d.Stacks {
 			st.OnRetx = func(s *transport.Sender, seq int32) {
-				recOf(s.Spec.Src).Mark(s.Spec.ID, trace.MarkRetx, int64(seq))
+				rec.Mark(s.Spec.ID, trace.MarkRetx, int64(seq))
 			}
 			st.OnTimeout = func(s *transport.Sender) {
-				recOf(s.Spec.Src).Mark(s.Spec.ID, trace.MarkTimeout, 0)
+				rec.Mark(s.Spec.ID, trace.MarkTimeout, 0)
 			}
 		}
 	}
@@ -1128,22 +1070,22 @@ func wireTraceHooks(cfg PointConfig, d *transport.Driver,
 // wirePASETraceHooks connects the PASE endpoint and the arbitration
 // hierarchy to the flight recorder: allocation grants, epoch (priority
 // queue) transitions, fallback/resync marks and every control-plane
-// half-exchange. Serial only — PASE never shards.
-func wirePASETraceHooks(srec *trace.ShardRecorder, paseT *endhost.Transport, paseSys *arbitration.System) {
+// half-exchange.
+func wirePASETraceHooks(rec *trace.Recorder, paseT *endhost.Transport, paseSys *arbitration.System) {
 	paseT.OnGrant = func(s *transport.Sender, q int8) {
-		srec.Mark(s.Spec.ID, trace.MarkGrant, int64(q))
+		rec.Mark(s.Spec.ID, trace.MarkGrant, int64(q))
 	}
 	paseT.OnEpoch = func(s *transport.Sender, q int8) {
-		srec.Epoch(s.Spec.ID, int(q))
+		rec.Epoch(s.Spec.ID, int(q))
 	}
 	paseT.OnFallback = func(s *transport.Sender) {
-		srec.Mark(s.Spec.ID, trace.MarkFallback, 0)
+		rec.Mark(s.Spec.ID, trace.MarkFallback, 0)
 	}
 	paseT.OnResync = func(s *transport.Sender) {
-		srec.Mark(s.Spec.ID, trace.MarkResync, 0)
+		rec.Mark(s.Spec.ID, trace.MarkResync, 0)
 	}
 	paseSys.OnCtrl = func(ev arbitration.CtrlEvent) {
-		srec.Ctrl(trace.CtrlSpan{
+		rec.Ctrl(trace.CtrlSpan{
 			Flow: ev.Flow, SrcSide: ev.SrcSide, Level: ev.Level,
 			Start: ev.Start, Latency: ev.Latency,
 			Outcome: ctrlOutcome(ev.Outcome),

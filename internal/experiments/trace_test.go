@@ -13,8 +13,8 @@ import (
 )
 
 // The flight recorder's contract is the same as the rest of the run
-// machinery: traced runs produce byte-identical output at every shard
-// count, parallelism and collector mode. These tests pin the exported
+// machinery: traced runs produce byte-identical output at every
+// parallelism and collector mode. These tests pin the exported
 // Perfetto bytes — the strongest form of that equality — plus the
 // trace-derived observability counters.
 
@@ -51,35 +51,19 @@ func perfettoBytes(t *testing.T, cfg PointConfig) ([]byte, PointResult) {
 	return buf.Bytes(), r
 }
 
-// TestTracedShardedPerfettoIdentical is the tentpole pin: a traced run
-// no longer falls back to serial, and the exported Perfetto JSON is
-// byte-identical at shards 0 through 4, streamed or stored.
-func TestTracedShardedPerfettoIdentical(t *testing.T) {
+// TestTracedStreamPerfettoIdentical: a streamed traced run exports the
+// same Perfetto bytes and flow-event TSV as its stored twin.
+func TestTracedStreamPerfettoIdentical(t *testing.T) {
 	cfg := tracedPoint()
-	cfg.Obs = true
-	want, serial := perfettoBytes(t, cfg)
-	if n := serial.Obs.Counters["shard/fallback_serial"]; n != 0 {
-		t.Fatalf("serial run counted %d fallbacks", n)
+	want, stored := perfettoBytes(t, cfg)
+	wantEvents, _ := flowEventsTSV(t, stored)
+	cfg.Stream = true
+	got, r := perfettoBytes(t, cfg)
+	if !bytes.Equal(got, want) {
+		t.Errorf("stream: Perfetto bytes differ from stored (%d vs %d bytes)", len(got), len(want))
 	}
-	wantEvents, _ := flowEventsTSV(t, serial)
-	for _, shards := range []int{1, 2, 3, 4} {
-		for _, stream := range []bool{false, true} {
-			c := cfg
-			c.Shards = shards
-			c.Stream = stream
-			got, r := perfettoBytes(t, c)
-			if r.Obs.Counters["shard/fallback_serial"] != 0 {
-				t.Errorf("shards=%d stream=%v: traced run fell back to serial", shards, stream)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("shards=%d stream=%v: Perfetto bytes differ from serial (%d vs %d bytes)",
-					shards, stream, len(got), len(want))
-			}
-			gotEvents, _ := flowEventsTSV(t, r)
-			if gotEvents != wantEvents {
-				t.Errorf("shards=%d stream=%v: flow-event TSV differs from serial", shards, stream)
-			}
-		}
+	if gotEvents, _ := flowEventsTSV(t, r); gotEvents != wantEvents {
+		t.Error("stream: flow-event TSV differs from stored")
 	}
 }
 
@@ -93,8 +77,8 @@ func flowEventsTSV(t *testing.T, r PointResult) (string, int) {
 }
 
 // TestTracedChaosDeterminism: fault injection composes with tracing —
-// a faulted, checked, sharded, streamed run traces identically to its
-// serial twin, and the dropped control exchanges appear as spans.
+// a faulted, checked run traces identically on a re-run, and the
+// dropped control exchanges appear as spans.
 func TestTracedChaosDeterminism(t *testing.T) {
 	cfg := tracedPoint()
 	cfg.Protocol = PASE // arbitration hierarchy + fault surface
@@ -113,14 +97,8 @@ func TestTracedChaosDeterminism(t *testing.T) {
 	if !dropped {
 		t.Fatal("30% ctrl drop plan left no dropped-exchange spans")
 	}
-	// PASE cannot shard (fabric-synchronous control plane) but the
-	// sharded entry point must still produce the identical trace.
-	for _, shards := range []int{2, 4} {
-		c := cfg
-		c.Shards = shards
-		if got, _ := perfettoBytes(t, c); !bytes.Equal(got, want) {
-			t.Errorf("shards=%d: faulted trace differs from serial", shards)
-		}
+	if got, _ := perfettoBytes(t, cfg); !bytes.Equal(got, want) {
+		t.Error("faulted trace differs on a re-run")
 	}
 }
 
@@ -172,25 +150,17 @@ func TestPASETraceCtrlAndHistograms(t *testing.T) {
 }
 
 // TestTraceSamplingKeepsBudget: 1-in-N sampling bounds retention while
-// stats keep the full population count, identically at every shard
-// count.
+// stats keep the full population count.
 func TestTraceSamplingKeepsBudget(t *testing.T) {
 	cfg := tracedPoint()
 	cfg.Trace.SampleN = 8
-	want, serial := perfettoBytes(t, cfg)
-	st := serial.Trace.Stats
+	_, r := perfettoBytes(t, cfg)
+	st := r.Trace.Stats
 	if st.FlowsSampledOut == 0 {
 		t.Fatal("sampleN=8 kept every flow")
 	}
 	if st.FlowsStarted != st.FlowsFinal+st.FlowsSampledOut+st.FlowsUnfinished+st.FlowsEvicted {
 		t.Fatalf("retention stats don't add up: %+v", st)
-	}
-	c := cfg
-	c.Shards = 3
-	if got, r := perfettoBytes(t, c); !bytes.Equal(got, want) {
-		t.Error("sampled trace differs across shard counts")
-	} else if r.Trace.Stats != st {
-		t.Errorf("stats differ across shard counts: %+v vs %+v", r.Trace.Stats, st)
 	}
 }
 

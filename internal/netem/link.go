@@ -22,15 +22,6 @@ type Port struct {
 
 	busy bool
 
-	// remote, when set, replaces the in-line delivery Schedule with a
-	// cross-shard handoff (sharded runs): the packet's arrival at the
-	// peer is buffered by the coordinator and released at the next
-	// barrier, carrying the rank slot captured here so it sorts on the
-	// destination shard exactly where the serial engine would have put
-	// it. The propagation delay guarantees the delivery time is at
-	// least one lookahead past the transmitting window's start.
-	remote func(at sim.Time, ctx *sim.Rank, k uint64, fn func())
-
 	// Faults, when set, lets a fault injector pause the transmitter
 	// (link down) and discard transmitted packets (loss/corruption).
 	Faults PortFaults
@@ -75,8 +66,7 @@ func Connect(a, b *Port) {
 // Owner returns the node this port belongs to.
 func (pt *Port) Owner() Node { return pt.owner }
 
-// Engine returns the engine the port's transmitter is clocked by (the
-// owner's shard engine in sharded runs).
+// Engine returns the engine the port's transmitter is clocked by.
 func (pt *Port) Engine() *sim.Engine { return pt.eng }
 
 // Peer returns the port at the other end of the link.
@@ -137,25 +127,9 @@ func (pt *Port) pump() {
 		// the packet never reaches the peer.
 		return
 	}
-	if pt.remote != nil {
-		// Cross-shard link: consume the same child slot the Schedule
-		// call below would have, so the delivered event keeps its
-		// serial rank, and hand the delivery to the coordinator.
-		ctx, k := pt.eng.ChildSlot()
-		pt.remote(pt.eng.Now().Add(ser+pt.delay), ctx, k, func() {
-			pt.peer.owner.Receive(p, pt.peer)
-		})
-		return
-	}
 	pt.eng.Schedule(ser+pt.delay, func() {
 		pt.peer.owner.Receive(p, pt.peer)
 	})
-}
-
-// SetRemote installs the cross-shard delivery hook; sharded runs call
-// it on the transmitting port of every cut link.
-func (pt *Port) SetRemote(f func(at sim.Time, ctx *sim.Rank, k uint64, fn func())) {
-	pt.remote = f
 }
 
 // Kick restarts a paused transmitter; the fault injector calls it when

@@ -7,12 +7,11 @@
 //   - Failure rerouting: the fault injector reports link up/down
 //     transitions (Injector.OnLinkState) and the controller immediately
 //     repairs the affected tables. A leaf→spine uplink outage is
-//     handled synchronously on the leaf's shard — the flows hashed onto
-//     the dead uplink detour to surviving spines before the next packet
-//     routes. A spine→leaf downlink outage is observed on the spine's
-//     shard; every leaf learns of it one control-propagation delay
-//     later (Params.Deliver) and detours its traffic toward the
-//     orphaned rack around that spine.
+//     handled synchronously at the leaf — the flows hashed onto the
+//     dead uplink detour to surviving spines before the next packet
+//     routes. A spine→leaf downlink outage is observed at the spine;
+//     every leaf learns of it one link propagation delay later and
+//     detours its traffic toward the orphaned rack around that spine.
 //
 //   - Traffic engineering: each leaf runs a periodic epoch timer that
 //     reads its uplink utilization (Port.BusyTime deltas) and, when the
@@ -21,12 +20,10 @@
 //     time per bucket stops the loop from thrashing a bucket back and
 //     forth across epochs.
 //
-// Determinism: all decisions read only state owned by the shard they
-// run on, cross-shard updates ride the conservative-lookahead handoff
-// with explicitly captured rank slots (Params.Deliver), and the TE
-// inputs (BusyTime) are themselves byte-identical between serial and
-// sharded runs — so a routed run keeps the serial-equals-sharded
-// property the engine guarantees.
+// Determinism: every decision runs as an ordinary engine event and
+// reads only simulator state, and the events the controller schedules
+// (TE epochs, downlink notifications) are created in a fixed rack
+// order — so a routed run replays bit for bit.
 package route
 
 import (
@@ -86,29 +83,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Params wires a Controller into one run. The per-rack accessors let
-// sharded runs hand each leaf its own shard's engine, registry,
-// checker and recorder; serial runs return the same instance for every
-// rack.
+// Params wires a Controller into one run.
 type Params struct {
 	Net *topology.Network
 	Cfg Config
 
-	// EngineOf returns the engine that owns rack r (its leaf's shard).
-	EngineOf func(rack int) *sim.Engine
-	// Deliver runs fn on dstRack's shard one control-propagation delay
-	// after now, from's shard being the caller. Serial runs Schedule on
-	// the one engine; sharded runs hand off with a captured rank slot.
-	// Both must consume exactly one rank child slot per call so event
-	// order matches between the two.
-	Deliver func(from netem.Node, dstRack int, fn func())
-	// ChkOf returns rack r's invariant checker (nil-safe).
-	ChkOf func(rack int) *check.Checker
-	// RegOf returns rack r's observability registry (nil-safe).
-	RegOf func(rack int) *obs.Registry
-	// Record emits a routing event into rack r's shard recorder; nil
-	// when the run is untraced.
-	Record func(rack int, ev trace.RouteEvent)
+	// Chk is the run's invariant checker (nil-safe).
+	Chk *check.Checker
+	// Reg is the run's observability registry (nil-safe).
+	Reg *obs.Registry
+	// Rec receives routing events; nil when the run is untraced.
+	Rec *trace.Recorder
 }
 
 // Controller owns the per-leaf control state. One per run.
@@ -118,8 +103,7 @@ type Controller struct {
 	racks []*rackCtl
 }
 
-// rackCtl is one leaf's share of the controller; touched only from
-// that leaf's shard.
+// rackCtl is one leaf's share of the controller.
 type rackCtl struct {
 	c    *Controller
 	rack int
@@ -144,9 +128,10 @@ type rackCtl struct {
 // Attach builds the controller and arms its loops: failure rerouting
 // activates as soon as the caller points Injector.OnLinkState at
 // LinkState, and the TE epoch timers are scheduled here, one per leaf
-// in rack order (the order fixes their setup rank slots). Returns nil
-// when the config is disabled or the fabric has no route tables (tree
-// topologies route single-path; there is nothing to steer).
+// in rack order (the order fixes their place in timestamp ties).
+// Returns nil when the config is disabled or the fabric has no route
+// tables (tree topologies route single-path; there is nothing to
+// steer).
 func Attach(p Params) *Controller {
 	if !p.Cfg.Enabled() || !p.Net.IsLeafSpine() || p.Net.RouteTable(0) == nil {
 		return nil
@@ -158,20 +143,19 @@ func Attach(p Params) *Controller {
 			c:    c,
 			rack: r,
 			tbl:  p.Net.RouteTable(r),
-			eng:  p.EngineOf(r),
-			chk:  p.ChkOf(r),
+			eng:  p.Net.Eng,
+			chk:  p.Chk,
 		}
 		for _, l := range p.Net.SpineUpLinks(r) {
 			rc.upPorts = append(rc.upPorts, l.Port)
 		}
 		rc.lastBusy = make([]sim.Duration, len(rc.upPorts))
 		rc.lastMoved = make([]sim.Time, rc.tbl.Buckets())
-		reg := p.RegOf(r)
-		rc.o.linkDown = reg.Counter("route/link_down")
-		rc.o.linkUp = reg.Counter("route/link_up")
-		rc.o.reroutes = reg.Counter("route/reroutes")
-		rc.o.teEpochs = reg.Counter("route/te_epochs")
-		rc.o.teMoves = reg.Counter("route/te_moves")
+		rc.o.linkDown = p.Reg.Counter("route/link_down")
+		rc.o.linkUp = p.Reg.Counter("route/link_up")
+		rc.o.reroutes = p.Reg.Counter("route/reroutes")
+		rc.o.teEpochs = p.Reg.Counter("route/te_epochs")
+		rc.o.teMoves = p.Reg.Counter("route/te_moves")
 		c.racks = append(c.racks, rc)
 	}
 	if c.cfg.TE && c.racks[0].tbl.Spines() > 1 {
@@ -183,10 +167,9 @@ func Attach(p Params) *Controller {
 	return c
 }
 
-// LinkState is the fault-injector subscription point: it runs on the
-// shard that transmits on the link (the injector's engine). Host edge
-// links are not reroutable (a host has one NIC) and are left to the
-// transports' loss recovery.
+// LinkState is the fault-injector subscription point, called at the
+// instant the link changes state. Host edge links are not reroutable
+// (a host has one NIC) and are left to the transports' loss recovery.
 func (c *Controller) LinkState(link int, down bool) {
 	if c == nil || !c.cfg.Reroute {
 		return
@@ -196,28 +179,24 @@ func (c *Controller) LinkState(link int, down bool) {
 		return
 	}
 	if info.Up {
-		// Leaf→spine uplink: the leaf owns the transmitting port, so we
-		// are on its shard and can repair its table in place.
+		// Leaf→spine uplink: the leaf owns the transmitting port and
+		// repairs its table in place.
 		c.racks[info.Rack].uplinkState(info.Spine, down)
 		return
 	}
-	// Spine→leaf downlink: observed on the spine's shard. Every leaf
-	// must detour its traffic toward the orphaned rack, so fan the
-	// update out — rack order fixes the rank slots the deliveries take.
-	spine := c.p.Net.Spines[info.Spine]
+	// Spine→leaf downlink: observed at the spine. Every leaf must
+	// detour its traffic toward the orphaned rack, so fan the update
+	// out one link delay later, in rack order.
 	q, s := info.Rack, info.Spine
-	for r := range c.racks {
-		rc := c.racks[r]
-		c.p.Deliver(spine, r, func() { rc.dstState(q, s, down) })
+	delay := c.p.Net.Cfg.LinkDelay
+	for _, rc := range c.racks {
+		rc := rc
+		rc.eng.Schedule(delay, func() { rc.dstState(q, s, down) })
 	}
 }
 
-// record emits ev into the rack's shard recorder if the run traces.
-func (rc *rackCtl) record(ev trace.RouteEvent) {
-	if rc.c.p.Record != nil {
-		rc.c.p.Record(rc.rack, ev)
-	}
-}
+// record emits ev into the run's recorder if the run traces.
+func (rc *rackCtl) record(ev trace.RouteEvent) { rc.c.p.Rec.Route(ev) }
 
 // uplinkState applies a leaf→spine uplink transition to this leaf's
 // table.
@@ -335,7 +314,6 @@ func (rc *rackCtl) validate() {
 // walk traces one sample flow's forwarding path toward rack q through
 // the switches' resolution tables (off the data path — nothing is
 // sent) and reports a route_loop violation if it cycles or dead-ends.
-// Spine resolution state is static, so reading it cross-shard is safe.
 func (rc *rackCtl) walk(where string, q int) {
 	net := rc.c.p.Net
 	dst := net.Hosts[q*net.Cfg.HostsPerRack].ID()

@@ -43,18 +43,6 @@ type Engine struct {
 	// chk, when non-nil, verifies dispatch-order invariants (clock
 	// monotonicity). Nil (the default) costs one pointer test per event.
 	chk *check.Checker
-
-	// Ranked-mode state (sharded runs only; see rank.go). When ranked
-	// is false — every serial run — none of these fields are touched
-	// and the calendar breaks ties with seq exactly as before.
-	ranked   bool
-	setupCtr *uint64  // shared across shards: global setup-slot order
-	cur      rankMeta // coordinates of the currently executing event
-	curNode  *Rank    // lazily created rank node for that event
-	curK     uint64   // child slots handed out by that event so far
-	inEvent  bool
-	newRanks []*Rank // nodes created since the last barrier stamping
-	tailGidx *uint64 // non-nil in serial-tail mode: stamp at creation
 }
 
 // Instrument attaches run-wide observability to the engine. Passing a
@@ -105,12 +93,6 @@ type event struct {
 	gen     uint32
 	head    bool // AtHead event: wins timestamp ties against At events
 	stopped bool
-
-	// Ranked-mode lineage: the node of the event whose execution
-	// scheduled this one (nil = setup slot) and the call index within
-	// that execution. Unused (zero) on unranked engines.
-	ctx *Rank
-	k   uint64
 }
 
 // Timer is a handle to a scheduled event, used for cancellation. The
@@ -178,9 +160,6 @@ func (e *Engine) schedule(t Time, fn func(), head bool) Timer {
 	ev.seq = e.seq
 	ev.fn = fn
 	ev.head = head
-	if e.ranked {
-		ev.ctx, ev.k = e.childSlot()
-	}
 	e.events.push(ev)
 	e.obsSched.Inc()
 	e.obsHeap.Update(int64(len(e.events)))
@@ -217,8 +196,6 @@ func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.head = false
 	ev.stopped = false
-	ev.ctx = nil
-	ev.k = 0
 	if len(e.free) < maxFree {
 		e.free = append(e.free, ev)
 	}
@@ -254,18 +231,6 @@ func (e *Engine) Step() bool {
 	e.Executed++
 	e.obsFired.Inc()
 	fn := ev.fn
-	if e.ranked {
-		// The record is recycled before dispatch, so hold the event's
-		// own coordinates for lazy rank-node creation in childSlot.
-		e.cur = rankMeta{at: ev.at, head: ev.head, ctx: ev.ctx, k: ev.k}
-		e.curNode = nil
-		e.curK = 0
-		e.inEvent = true
-		e.recycle(ev)
-		fn()
-		e.inEvent = false
-		return true
-	}
 	e.recycle(ev)
 	fn()
 	return true
@@ -351,11 +316,6 @@ func (h eventHeap) less(a, b *event) bool {
 	}
 	if a.head != b.head {
 		return a.head
-	}
-	if a.eng.ranked {
-		// Sharded runs: break the tie with the cross-shard schedule
-		// lineage instead of the shard-local seq (see rank.go).
-		return rankLess(a.ctx, a.k, b.ctx, b.k)
 	}
 	return a.seq < b.seq
 }

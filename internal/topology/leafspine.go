@@ -28,10 +28,6 @@ type LeafSpineConfig struct {
 	LinkDelay  sim.Duration
 
 	NewQueue func(kind QueueKind) netem.Queue
-
-	// EngineOf and NewQueueFor mirror Config's sharded-run hooks.
-	EngineOf    func(owner netem.Node) *sim.Engine
-	NewQueueFor func(kind QueueKind, owner netem.Node) netem.Queue
 }
 
 // DefaultLeafSpine returns a 4-leaf × 2-spine fabric with 10 hosts per
@@ -68,20 +64,8 @@ func (cfg LeafSpineConfig) DownlinkID(rack, spine int) int {
 // reuses the tree Network type: leaves populate ToRs, spines populate
 // Spines, and the flow-aware path methods dispatch on the fabric kind.
 func BuildLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *Network {
-	if cfg.NewQueue == nil && cfg.NewQueueFor == nil {
+	if cfg.NewQueue == nil {
 		panic("topology: LeafSpineConfig.NewQueue is required")
-	}
-	engOf := func(owner netem.Node) *sim.Engine {
-		if cfg.EngineOf != nil {
-			return cfg.EngineOf(owner)
-		}
-		return eng
-	}
-	queueFor := func(kind QueueKind, owner netem.Node) netem.Queue {
-		if cfg.NewQueueFor != nil {
-			return cfg.NewQueueFor(kind, owner)
-		}
-		return cfg.NewQueue(kind)
 	}
 	if cfg.Leaves < 1 || cfg.Spines < 1 || cfg.HostsPerLeaf < 1 {
 		panic("topology: leaf-spine needs at least one leaf, spine and host")
@@ -129,9 +113,9 @@ func BuildLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *Network {
 	for r, leaf := range n.ToRs {
 		for j := 0; j < cfg.HostsPerLeaf; j++ {
 			h := n.Hosts[r*cfg.HostsPerLeaf+j]
-			hp := netem.NewPort(engOf(h), h, queueFor(QueueHostNIC, h), cfg.EdgeRate, cfg.LinkDelay)
+			hp := netem.NewPort(eng, h, cfg.NewQueue(QueueHostNIC), cfg.EdgeRate, cfg.LinkDelay)
 			hp.Name = h.Name() + "->" + leaf.Name()
-			tp := netem.NewPort(engOf(leaf), leaf, queueFor(QueueSwitchDown, leaf), cfg.EdgeRate, cfg.LinkDelay)
+			tp := netem.NewPort(eng, leaf, cfg.NewQueue(QueueSwitchDown), cfg.EdgeRate, cfg.LinkDelay)
 			tp.Name = leaf.Name() + "->" + h.Name()
 			netem.Connect(hp, tp)
 			h.SetPort(hp)
@@ -150,9 +134,9 @@ func BuildLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *Network {
 		leaf := leaf
 		var spinePorts []int
 		for s, spine := range n.Spines {
-			tp := netem.NewPort(engOf(leaf), leaf, queueFor(QueueSwitchUp, leaf), cfg.FabricRate, cfg.LinkDelay)
+			tp := netem.NewPort(eng, leaf, cfg.NewQueue(QueueSwitchUp), cfg.FabricRate, cfg.LinkDelay)
 			tp.Name = leaf.Name() + "->" + spine.Name()
-			sp := netem.NewPort(engOf(spine), spine, queueFor(QueueSwitchDown, spine), cfg.FabricRate, cfg.LinkDelay)
+			sp := netem.NewPort(eng, spine, cfg.NewQueue(QueueSwitchDown), cfg.FabricRate, cfg.LinkDelay)
 			sp.Name = spine.Name() + "->" + leaf.Name()
 			netem.Connect(tp, sp)
 			upIdx := leaf.AddPort(tp)

@@ -17,9 +17,8 @@ const RouteBucketsPerSpine = 8
 // The table is versioned copy-on-write: every mutation clones the
 // current routeState, applies the edit and swaps the pointer, so a
 // reader always sees one consistent epoch and Version identifies it.
-// All reads and writes for one leaf happen on that leaf's shard
-// goroutine (cross-shard updates arrive via the conservative-lookahead
-// handoff), so no atomics are needed.
+// All reads and writes happen on the simulation goroutine, so no
+// atomics are needed.
 //
 // Determinism contract: with no overrides and no down links the table
 // is "clean" and Pick reproduces ECMPSpine exactly — bucket count is a

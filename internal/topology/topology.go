@@ -94,13 +94,6 @@ type Config struct {
 
 	// NewQueue builds the egress queue for each port role.
 	NewQueue func(kind QueueKind) netem.Queue
-
-	// EngineOf, when set, binds each node's ports to that node's shard
-	// engine instead of the Build engine (sharded runs).
-	EngineOf func(owner netem.Node) *sim.Engine
-	// NewQueueFor, when set, overrides NewQueue with owner awareness so
-	// sharded runs can instrument queues against per-shard registries.
-	NewQueueFor func(kind QueueKind, owner netem.Node) netem.Queue
 }
 
 // Baseline returns the paper's simulation topology (§4.1) with the
@@ -209,20 +202,8 @@ func (n *Network) SpineDownLinks(rack int) []*Link { return n.spineDown[rack] }
 
 // Build wires the fabric described by cfg onto the engine.
 func Build(eng *sim.Engine, cfg Config) *Network {
-	if cfg.NewQueue == nil && cfg.NewQueueFor == nil {
+	if cfg.NewQueue == nil {
 		panic("topology: Config.NewQueue is required")
-	}
-	engOf := func(owner netem.Node) *sim.Engine {
-		if cfg.EngineOf != nil {
-			return cfg.EngineOf(owner)
-		}
-		return eng
-	}
-	queueFor := func(kind QueueKind, owner netem.Node) netem.Queue {
-		if cfg.NewQueueFor != nil {
-			return cfg.NewQueueFor(kind, owner)
-		}
-		return cfg.NewQueue(kind)
 	}
 	if cfg.Racks < 1 || cfg.HostsPerRack < 1 {
 		panic("topology: need at least one rack and one host")
@@ -270,9 +251,9 @@ func Build(eng *sim.Engine, cfg Config) *Network {
 	for r, tor := range n.ToRs {
 		for j := 0; j < cfg.HostsPerRack; j++ {
 			h := n.Hosts[r*cfg.HostsPerRack+j]
-			hp := netem.NewPort(engOf(h), h, queueFor(QueueHostNIC, h), cfg.EdgeRate, cfg.LinkDelay)
+			hp := netem.NewPort(eng, h, cfg.NewQueue(QueueHostNIC), cfg.EdgeRate, cfg.LinkDelay)
 			hp.Name = h.Name() + "->" + tor.Name()
-			tp := netem.NewPort(engOf(tor), tor, queueFor(QueueSwitchDown, tor), cfg.EdgeRate, cfg.LinkDelay)
+			tp := netem.NewPort(eng, tor, cfg.NewQueue(QueueSwitchDown), cfg.EdgeRate, cfg.LinkDelay)
 			tp.Name = tor.Name() + "->" + h.Name()
 			netem.Connect(hp, tp)
 			h.SetPort(hp)
@@ -290,9 +271,9 @@ func Build(eng *sim.Engine, cfg Config) *Network {
 		// ToR <-> Agg links.
 		for r, tor := range n.ToRs {
 			agg := n.Aggs[r/cfg.RacksPerAgg]
-			tp := netem.NewPort(engOf(tor), tor, queueFor(QueueSwitchUp, tor), cfg.FabricRate, cfg.LinkDelay)
+			tp := netem.NewPort(eng, tor, cfg.NewQueue(QueueSwitchUp), cfg.FabricRate, cfg.LinkDelay)
 			tp.Name = tor.Name() + "->" + agg.Name()
-			ap := netem.NewPort(engOf(agg), agg, queueFor(QueueSwitchDown, agg), cfg.FabricRate, cfg.LinkDelay)
+			ap := netem.NewPort(eng, agg, cfg.NewQueue(QueueSwitchDown), cfg.FabricRate, cfg.LinkDelay)
 			ap.Name = agg.Name() + "->" + tor.Name()
 			netem.Connect(tp, ap)
 			torUpIdx := tor.AddPort(tp)
@@ -319,9 +300,9 @@ func Build(eng *sim.Engine, cfg Config) *Network {
 
 		// Agg <-> Core links.
 		for a, agg := range n.Aggs {
-			ap := netem.NewPort(engOf(agg), agg, queueFor(QueueSwitchUp, agg), cfg.FabricRate, cfg.LinkDelay)
+			ap := netem.NewPort(eng, agg, cfg.NewQueue(QueueSwitchUp), cfg.FabricRate, cfg.LinkDelay)
 			ap.Name = agg.Name() + "->core"
-			cp := netem.NewPort(engOf(n.Core), n.Core, queueFor(QueueSwitchDown, n.Core), cfg.FabricRate, cfg.LinkDelay)
+			cp := netem.NewPort(eng, n.Core, cfg.NewQueue(QueueSwitchDown), cfg.FabricRate, cfg.LinkDelay)
 			cp.Name = "core->" + agg.Name()
 			netem.Connect(ap, cp)
 			aggUpIdx := agg.AddPort(ap)

@@ -142,8 +142,8 @@ func (ps *PerfettoStream) Finish(ctrl []CtrlSpan, queue []QueueSample, route []R
 }
 
 // WritePerfetto exports the trace as Chrome/Perfetto trace-event JSON.
-// The output is byte-identical for byte-identical traces — shard count
-// and parallelism never change it.
+// The output is byte-identical for byte-identical traces — parallelism
+// never changes it.
 func (rt *RunTrace) WritePerfetto(w io.Writer) error {
 	ps := NewPerfettoStream(w)
 	ps.Begin(rt.Meta)

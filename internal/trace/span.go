@@ -14,12 +14,11 @@ import (
 // control-plane exchanges themselves, as spans on the simulated clock.
 // It is built to the same contract as the rest of the run machinery:
 //
-//   - Deterministic. A run traced at any shard count or GOMAXPROCS
-//     produces byte-identical output: each shard records into its own
-//     buffers (no cross-goroutine state), and Take merges them in a
+//   - Deterministic. A run traced at any GOMAXPROCS or parallelism
+//     produces byte-identical output, and Take sorts it into a
 //     canonical order — flow traces by (End, Flow), control spans by
-//     (Start, Flow, side, level) — that both the serial engine and the
-//     sharded engine reproduce exactly.
+//     (Start, Flow, side, level) — that does not depend on how events
+//     sharing one instant happened to execute.
 //   - Bounded. Live flows cost O(in-flight): a flow's spans accumulate
 //     only while it is open, and at completion the trace is either
 //     committed to a fixed-capacity ring (evicting the oldest) or
@@ -249,9 +248,7 @@ type Meta struct {
 	Seed    uint64
 }
 
-// TraceStats summarizes what the recorder kept and shed. Every field
-// is derived from shard-count-invariant quantities, so a traced run
-// reports identical stats at any shard count.
+// TraceStats summarizes what the recorder kept and shed.
 type TraceStats struct {
 	FlowsStarted    int64
 	FlowsFinal      int64 // traces in the output
@@ -291,80 +288,15 @@ type RecorderConfig struct {
 	RouteCap   int
 }
 
-// Recorder owns a run's flight recording: one ShardRecorder per engine
-// shard (a serial run has exactly one) and the merge that produces the
-// canonical RunTrace.
+// Recorder owns a run's flight recording: the live and committed flow
+// traces, the control and routing rings, and the sort that produces
+// the canonical RunTrace. All recording methods are nil-safe no-ops,
+// so call sites can stay unconditional when tracing is off.
 type Recorder struct {
-	cfg    RecorderConfig
-	shards []*ShardRecorder
-	meta   Meta
-	spill  *PerfettoStream
-}
-
-// NewRecorder builds a recorder, applying config defaults.
-func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.FlowCap <= 0 {
-		cfg.FlowCap = DefaultFlowCap
-	}
-	if cfg.MaxPerFlow <= 0 {
-		cfg.MaxPerFlow = DefaultMaxPerFlow
-	}
-	if cfg.CtrlCap <= 0 {
-		cfg.CtrlCap = DefaultCtrlCap
-	}
-	if cfg.RouteCap <= 0 {
-		cfg.RouteCap = DefaultRouteCap
-	}
-	return &Recorder{cfg: cfg}
-}
-
-// SetMeta records the run description; in spill mode it also opens the
-// output stream (the Perfetto header carries the meta, so it must be
-// known before the first flow commits).
-func (r *Recorder) SetMeta(m Meta) {
-	m.SampleN = r.cfg.SampleN
-	m.Seed = r.cfg.Seed
-	r.meta = m
-	if r.spill != nil {
-		r.spill.Begin(m)
-	}
-}
-
-// SpillTo switches the recorder into spill mode: committed flow traces
-// stream into ps at completion instead of being retained, keeping
-// memory O(in-flight). Only single-shard recorders may spill (the
-// stream has one writer); call before Shard.
-func (r *Recorder) SpillTo(ps *PerfettoStream) {
-	if len(r.shards) > 1 {
-		panic("trace: SpillTo on a multi-shard recorder")
-	}
-	r.spill = ps
-}
-
-// Shard creates the recorder for one engine shard. Each shard's
-// methods are called only from that shard's goroutine; shards share
-// nothing mutable.
-func (r *Recorder) Shard(eng *sim.Engine) *ShardRecorder {
-	if r.spill != nil && len(r.shards) > 0 {
-		panic("trace: spill-mode recorder is single-shard")
-	}
-	s := &ShardRecorder{
-		r:    r,
-		eng:  eng,
-		live: make(map[pkt.FlowID]*FlowTrace),
-		done: make([]*FlowTrace, 0, 16),
-		ctrl: make([]CtrlSpan, 0, 16),
-	}
-	r.shards = append(r.shards, s)
-	return s
-}
-
-// ShardRecorder records flow and control spans for one engine shard.
-// All methods are nil-safe no-ops, so call sites can stay
-// unconditional when tracing is off.
-type ShardRecorder struct {
-	r   *Recorder
-	eng *sim.Engine
+	cfg   RecorderConfig
+	eng   *sim.Engine
+	meta  Meta
+	spill *PerfettoStream
 
 	live map[pkt.FlowID]*FlowTrace
 	free []*FlowTrace // recycled traces of sampled-out flows
@@ -389,8 +321,49 @@ type ShardRecorder struct {
 	sampledOut int64
 }
 
+// NewRecorder builds a recorder on the run's engine clock, applying
+// config defaults.
+func NewRecorder(eng *sim.Engine, cfg RecorderConfig) *Recorder {
+	if cfg.FlowCap <= 0 {
+		cfg.FlowCap = DefaultFlowCap
+	}
+	if cfg.MaxPerFlow <= 0 {
+		cfg.MaxPerFlow = DefaultMaxPerFlow
+	}
+	if cfg.CtrlCap <= 0 {
+		cfg.CtrlCap = DefaultCtrlCap
+	}
+	if cfg.RouteCap <= 0 {
+		cfg.RouteCap = DefaultRouteCap
+	}
+	return &Recorder{
+		cfg:  cfg,
+		eng:  eng,
+		live: make(map[pkt.FlowID]*FlowTrace),
+		done: make([]*FlowTrace, 0, 16),
+		ctrl: make([]CtrlSpan, 0, 16),
+	}
+}
+
+// SetMeta records the run description; in spill mode it also opens the
+// output stream (the Perfetto header carries the meta, so it must be
+// known before the first flow commits).
+func (r *Recorder) SetMeta(m Meta) {
+	m.SampleN = r.cfg.SampleN
+	m.Seed = r.cfg.Seed
+	r.meta = m
+	if r.spill != nil {
+		r.spill.Begin(m)
+	}
+}
+
+// SpillTo switches the recorder into spill mode: committed flow traces
+// stream into ps at completion instead of being retained, keeping
+// memory O(in-flight). Call before SetMeta.
+func (r *Recorder) SpillTo(ps *PerfettoStream) { r.spill = ps }
+
 // sampleHash is a SplitMix64 finalizer over (seed, flow): a cheap,
-// well-mixed, shard-independent per-flow coin.
+// well-mixed, execution-order-independent per-flow coin.
 func sampleHash(seed uint64, f pkt.FlowID) uint64 {
 	z := seed + 0x9e3779b97f4a7c15*(uint64(f)+1)
 	z ^= z >> 30
@@ -411,13 +384,13 @@ func (r *Recorder) Sampled(f pkt.FlowID) bool {
 // FlowArrive opens a flow's trace. held reports whether the flow is
 // waiting for a control-plane allocation (PASE's hold-at-source);
 // otherwise it is transmitting immediately at prio.
-func (s *ShardRecorder) FlowArrive(f pkt.FlowID, src, dst pkt.NodeID, size int64, prio int, held bool) {
-	if s == nil {
+func (r *Recorder) FlowArrive(f pkt.FlowID, src, dst pkt.NodeID, size int64, prio int, held bool) {
+	if r == nil {
 		return
 	}
-	s.started++
-	now := s.eng.Now()
-	ft := s.alloc()
+	r.started++
+	now := r.eng.Now()
+	ft := r.alloc()
 	ft.Flow, ft.Src, ft.Dst, ft.Size = f, src, dst, size
 	ft.Start = now
 	kind := SpanXfer
@@ -425,17 +398,17 @@ func (s *ShardRecorder) FlowArrive(f pkt.FlowID, src, dst pkt.NodeID, size int64
 		kind = SpanWait
 	}
 	ft.Spans = append(ft.Spans, FlowSpan{Start: now, End: now, Kind: kind, Prio: prio})
-	s.live[f] = ft
+	r.live[f] = ft
 }
 
 // Epoch records a transmission-epoch transition: the current phase
 // ends now and a new transmit span opens at prio. A transition into
 // the phase already running is a no-op.
-func (s *ShardRecorder) Epoch(f pkt.FlowID, prio int) {
-	if s == nil {
+func (r *Recorder) Epoch(f pkt.FlowID, prio int) {
+	if r == nil {
 		return
 	}
-	ft := s.live[f]
+	ft := r.live[f]
 	if ft == nil {
 		return
 	}
@@ -444,48 +417,48 @@ func (s *ShardRecorder) Epoch(f pkt.FlowID, prio int) {
 		if cur.Kind == SpanXfer && cur.Prio == prio {
 			return
 		}
-		cur.End = s.eng.Now()
+		cur.End = r.eng.Now()
 	}
-	if len(ft.Spans) >= s.r.cfg.MaxPerFlow {
+	if len(ft.Spans) >= r.cfg.MaxPerFlow {
 		ft.Truncated++
 		return
 	}
-	now := s.eng.Now()
+	now := r.eng.Now()
 	ft.Spans = append(ft.Spans, FlowSpan{Start: now, End: now, Kind: SpanXfer, Prio: prio})
 }
 
 // Mark annotates the flow's timeline at the current instant. Marks
 // other than grants flag the flow as always-kept.
-func (s *ShardRecorder) Mark(f pkt.FlowID, kind MarkKind, arg int64) {
-	if s == nil {
+func (r *Recorder) Mark(f pkt.FlowID, kind MarkKind, arg int64) {
+	if r == nil {
 		return
 	}
-	ft := s.live[f]
+	ft := r.live[f]
 	if ft == nil {
 		return
 	}
 	if kind.flags() {
 		ft.Flagged = true
 	}
-	if len(ft.Marks) >= s.r.cfg.MaxPerFlow {
+	if len(ft.Marks) >= r.cfg.MaxPerFlow {
 		ft.Truncated++
 		return
 	}
-	ft.Marks = append(ft.Marks, Mark{At: s.eng.Now(), Kind: kind, Arg: arg})
+	ft.Marks = append(ft.Marks, Mark{At: r.eng.Now(), Kind: kind, Arg: arg})
 }
 
 // FlowEnd closes a flow's trace and commits or discards it: flagged
 // flows and flows passing the sample draw are kept, the rest recycle.
-func (s *ShardRecorder) FlowEnd(f pkt.FlowID, aborted bool) {
-	if s == nil {
+func (r *Recorder) FlowEnd(f pkt.FlowID, aborted bool) {
+	if r == nil {
 		return
 	}
-	ft := s.live[f]
+	ft := r.live[f]
 	if ft == nil {
 		return
 	}
-	delete(s.live, f)
-	now := s.eng.Now()
+	delete(r.live, f)
+	now := r.eng.Now()
 	ft.End = now
 	if n := len(ft.Spans); n > 0 {
 		ft.Spans[n-1].End = now
@@ -493,81 +466,81 @@ func (s *ShardRecorder) FlowEnd(f pkt.FlowID, aborted bool) {
 	if aborted {
 		ft.Aborted = true
 		ft.Flagged = true
-		if len(ft.Marks) < s.r.cfg.MaxPerFlow {
+		if len(ft.Marks) < r.cfg.MaxPerFlow {
 			ft.Marks = append(ft.Marks, Mark{At: now, Kind: MarkAbort})
 		} else {
 			ft.Truncated++
 		}
 	}
-	if !ft.Flagged && !s.r.Sampled(f) {
-		s.sampledOut++
-		s.recycle(ft)
+	if !ft.Flagged && !r.Sampled(f) {
+		r.sampledOut++
+		r.recycle(ft)
 		return
 	}
-	if ps := s.r.spill; ps != nil {
+	if ps := r.spill; ps != nil {
 		// Commits arrive in clock order; flush the previous End-tie
 		// group (sorted by flow ID) once the clock moves past it.
-		if n := len(s.spillGrp); n > 0 && s.spillGrp[0].End != ft.End {
-			s.flushSpill(ps)
+		if n := len(r.spillGrp); n > 0 && r.spillGrp[0].End != ft.End {
+			r.flushSpill(ps)
 		}
-		s.spillGrp = append(s.spillGrp, ft)
+		r.spillGrp = append(r.spillGrp, ft)
 		return
 	}
-	cap := s.r.cfg.FlowCap
-	if len(s.done) < cap {
-		s.done = append(s.done, ft)
+	cap := r.cfg.FlowCap
+	if len(r.done) < cap {
+		r.done = append(r.done, ft)
 	} else {
-		s.recycle(s.done[s.donePos%int64(cap)])
-		s.done[s.donePos%int64(cap)] = ft
+		r.recycle(r.done[r.donePos%int64(cap)])
+		r.done[r.donePos%int64(cap)] = ft
 	}
-	s.donePos++
+	r.donePos++
 }
 
-func (s *ShardRecorder) flushSpill(ps *PerfettoStream) {
-	grp := s.spillGrp
+func (r *Recorder) flushSpill(ps *PerfettoStream) {
+	grp := r.spillGrp
 	sort.Slice(grp, func(i, j int) bool { return grp[i].Flow < grp[j].Flow })
 	ps.Flows(grp)
 	for _, ft := range grp {
-		s.recycle(ft)
+		r.recycle(ft)
 	}
-	s.spillGrp = s.spillGrp[:0]
+	r.spillGrp = r.spillGrp[:0]
 }
 
 // Ctrl records one control-plane exchange.
-func (s *ShardRecorder) Ctrl(cs CtrlSpan) {
-	if s == nil {
+func (r *Recorder) Ctrl(cs CtrlSpan) {
+	if r == nil {
 		return
 	}
-	cap := s.r.cfg.CtrlCap
-	if len(s.ctrl) < cap {
-		s.ctrl = append(s.ctrl, cs)
+	cap := r.cfg.CtrlCap
+	if len(r.ctrl) < cap {
+		r.ctrl = append(r.ctrl, cs)
 	} else {
-		s.ctrl[s.ctrlPos%int64(cap)] = cs
+		r.ctrl[r.ctrlPos%int64(cap)] = cs
 	}
-	s.ctrlPos++
+	r.ctrlPos++
 }
 
-// Route records one routing-control update. Call on the shard whose
-// leaf table changed; a run that never reroutes records nothing and
-// its trace bytes stay identical to a build without routing control.
-func (s *ShardRecorder) Route(ev RouteEvent) {
-	if s == nil {
+// Route records one routing-control update. A run that never
+// reroutes records nothing and its trace bytes stay identical to a
+// build without routing control.
+func (r *Recorder) Route(ev RouteEvent) {
+	if r == nil {
 		return
 	}
-	cap := s.r.cfg.RouteCap
-	if len(s.route) < cap {
-		s.route = append(s.route, ev)
+	cap := r.cfg.RouteCap
+	if len(r.route) < cap {
+		r.route = append(r.route, ev)
 	} else {
-		s.route[s.routePos%int64(cap)] = ev
+		r.route[r.routePos%int64(cap)] = ev
 	}
-	s.routePos++
+	r.routePos++
 }
 
 // alloc reuses a recycled trace or makes one.
-func (s *ShardRecorder) alloc() *FlowTrace {
-	if n := len(s.free); n > 0 {
-		ft := s.free[n-1]
-		s.free = s.free[:n-1]
+func (r *Recorder) alloc() *FlowTrace {
+	if n := len(r.free); n > 0 {
+		ft := r.free[n-1]
+		r.free = r.free[:n-1]
 		return ft
 	}
 	return &FlowTrace{}
@@ -576,12 +549,12 @@ func (s *ShardRecorder) alloc() *FlowTrace {
 // maxFreeTraces bounds the recycling list.
 const maxFreeTraces = 1024
 
-func (s *ShardRecorder) recycle(ft *FlowTrace) {
-	if len(s.free) >= maxFreeTraces {
+func (r *Recorder) recycle(ft *FlowTrace) {
+	if len(r.free) >= maxFreeTraces {
 		return
 	}
 	*ft = FlowTrace{Spans: ft.Spans[:0], Marks: ft.Marks[:0]}
-	s.free = append(s.free, ft)
+	r.free = append(r.free, ft)
 }
 
 // ring returns the retained ring contents oldest-first.
@@ -617,9 +590,9 @@ func ringRoute(buf []RouteEvent, pos int64, cap int) []RouteEvent {
 
 // RunTrace is a run's merged flight recording in canonical order:
 // Flows by (End, Flow), Ctrl by (Start, Flow, side, level), Queue by
-// (At, Idx). The order — and therefore the exported bytes — is
-// identical at every shard count and parallelism (up to the capacity
-// caps; see Stats for what was shed).
+// (At, Idx). The order — and therefore the exported bytes — does not
+// depend on how same-instant events executed or on parallelism (up to
+// the capacity caps; see Stats for what was shed).
 type RunTrace struct {
 	Meta  Meta
 	Flows []*FlowTrace
@@ -631,38 +604,28 @@ type RunTrace struct {
 	Stats TraceStats
 }
 
-// Take merges every shard's buffers into the canonical RunTrace. Call
+// Take sorts the recorded buffers into the canonical RunTrace. Call
 // once, after the run. In spill mode the flows are already gone to the
 // stream; Take returns the control spans, stats and meta, and the
 // caller finishes with FinishSpill.
 func (r *Recorder) Take() *RunTrace {
 	rt := &RunTrace{Meta: r.meta}
-	var flows []*FlowTrace
-	for _, s := range r.shards {
-		if r.spill != nil && len(s.spillGrp) > 0 {
-			s.flushSpill(r.spill)
-		}
-		flows = append(flows, ringTraces(s.done, s.donePos, r.cfg.FlowCap)...)
-		rt.Ctrl = append(rt.Ctrl, ringCtrl(s.ctrl, s.ctrlPos, r.cfg.CtrlCap)...)
-		rt.Route = append(rt.Route, ringRoute(s.route, s.routePos, r.cfg.RouteCap)...)
-		rt.Stats.FlowsStarted += s.started
-		rt.Stats.FlowsSampledOut += s.sampledOut
-		rt.Stats.FlowsUnfinished += int64(len(s.live))
-		rt.Stats.CtrlTotal += s.ctrlPos
+	if r.spill != nil && len(r.spillGrp) > 0 {
+		r.flushSpill(r.spill)
 	}
+	flows := append([]*FlowTrace(nil), ringTraces(r.done, r.donePos, r.cfg.FlowCap)...)
+	rt.Ctrl = append(rt.Ctrl, ringCtrl(r.ctrl, r.ctrlPos, r.cfg.CtrlCap)...)
+	rt.Route = append(rt.Route, ringRoute(r.route, r.routePos, r.cfg.RouteCap)...)
+	rt.Stats.FlowsStarted = r.started
+	rt.Stats.FlowsSampledOut = r.sampledOut
+	rt.Stats.FlowsUnfinished = int64(len(r.live))
+	rt.Stats.CtrlTotal = r.ctrlPos
 	sort.Slice(flows, func(i, j int) bool {
 		if flows[i].End != flows[j].End {
 			return flows[i].End < flows[j].End
 		}
 		return flows[i].Flow < flows[j].Flow
 	})
-	// Run-wide cap: keep the most recent FlowCap by (End, Flow). Any
-	// survivor is necessarily among the newest FlowCap of its own
-	// shard's ring, so per-shard eviction never changes this set and
-	// the output stays shard-count-invariant.
-	if len(flows) > r.cfg.FlowCap {
-		flows = flows[len(flows)-r.cfg.FlowCap:]
-	}
 	rt.Flows = flows
 	sort.Slice(rt.Ctrl, func(i, j int) bool {
 		a, b := rt.Ctrl[i], rt.Ctrl[j]
@@ -677,9 +640,6 @@ func (r *Recorder) Take() *RunTrace {
 		}
 		return a.Level < b.Level
 	})
-	if len(rt.Ctrl) > r.cfg.CtrlCap {
-		rt.Ctrl = rt.Ctrl[len(rt.Ctrl)-r.cfg.CtrlCap:]
-	}
 	sort.Slice(rt.Route, func(i, j int) bool {
 		a, b := rt.Route[i], rt.Route[j]
 		if a.At != b.At {
@@ -696,9 +656,6 @@ func (r *Recorder) Take() *RunTrace {
 		}
 		return a.Arg < b.Arg
 	})
-	if len(rt.Route) > r.cfg.RouteCap {
-		rt.Route = rt.Route[len(rt.Route)-r.cfg.RouteCap:]
-	}
 	st := &rt.Stats
 	st.FlowsFinal = int64(len(rt.Flows))
 	st.FlowsEvicted = st.FlowsStarted - st.FlowsSampledOut - st.FlowsUnfinished - st.FlowsFinal

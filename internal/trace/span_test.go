@@ -10,27 +10,31 @@ import (
 	"pase/internal/trace"
 )
 
-// driveFlows runs n flows through a single-shard recorder on a real
-// engine clock: flow i arrives at i µs and completes 10 µs later, with
-// an epoch transition in between. flag(i) flows get a retx mark.
-func driveFlows(t *testing.T, rec *trace.Recorder, n int, flag func(int) bool) {
-	t.Helper()
+// newRecorder builds a recorder on a fresh engine clock.
+func newRecorder(cfg trace.RecorderConfig) (*trace.Recorder, *sim.Engine) {
 	eng := sim.NewEngine()
-	s := rec.Shard(eng)
+	return trace.NewRecorder(eng, cfg), eng
+}
+
+// driveFlows runs n flows through a recorder on its engine clock: flow
+// i arrives at i µs and completes 10 µs later, with an epoch transition
+// in between. flag(i) flows get a retx mark.
+func driveFlows(t *testing.T, rec *trace.Recorder, eng *sim.Engine, n int, flag func(int) bool) {
+	t.Helper()
 	for i := 0; i < n; i++ {
 		i := i
 		f := pkt.FlowID(i + 1)
 		eng.Schedule(sim.Duration(i)*sim.Microsecond, func() {
-			s.FlowArrive(f, pkt.NodeID(i), pkt.NodeID(i+1), 1000, 0, false)
+			rec.FlowArrive(f, pkt.NodeID(i), pkt.NodeID(i+1), 1000, 0, false)
 		})
 		eng.Schedule(sim.Duration(i)*sim.Microsecond+5*sim.Microsecond, func() {
-			s.Epoch(f, 1)
+			rec.Epoch(f, 1)
 			if flag != nil && flag(i) {
-				s.Mark(f, trace.MarkRetx, 42)
+				rec.Mark(f, trace.MarkRetx, 42)
 			}
 		})
 		eng.Schedule(sim.Duration(i)*sim.Microsecond+10*sim.Microsecond, func() {
-			s.FlowEnd(f, false)
+			rec.FlowEnd(f, false)
 		})
 	}
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
@@ -44,8 +48,8 @@ func TestRecorderSamplingDeterministic(t *testing.T) {
 	// different set, and flagged flows survive regardless of the draw.
 	const n, sampleN = 400, 4
 	take := func(seed uint64, flag func(int) bool) *trace.RunTrace {
-		rec := trace.NewRecorder(trace.RecorderConfig{SampleN: sampleN, Seed: seed})
-		driveFlows(t, rec, n, flag)
+		rec, recEng := newRecorder(trace.RecorderConfig{SampleN: sampleN, Seed: seed})
+		driveFlows(t, rec, recEng, n, flag)
 		return rec.Take()
 	}
 	a, b := take(7, nil), take(7, nil)
@@ -76,8 +80,8 @@ func TestRecorderSamplingDeterministic(t *testing.T) {
 
 func TestRecorderRingEviction(t *testing.T) {
 	const n, cap = 100, 16
-	rec := trace.NewRecorder(trace.RecorderConfig{FlowCap: cap})
-	driveFlows(t, rec, n, nil)
+	rec, recEng := newRecorder(trace.RecorderConfig{FlowCap: cap})
+	driveFlows(t, rec, recEng, n, nil)
 	rt := rec.Take()
 	if len(rt.Flows) != cap {
 		t.Fatalf("kept %d flows, want cap %d", len(rt.Flows), cap)
@@ -95,15 +99,13 @@ func TestRecorderRingEviction(t *testing.T) {
 
 func TestRecorderMaxPerFlow(t *testing.T) {
 	const perFlow = 8
-	rec := trace.NewRecorder(trace.RecorderConfig{MaxPerFlow: perFlow})
-	eng := sim.NewEngine()
-	s := rec.Shard(eng)
-	eng.Schedule(0, func() { s.FlowArrive(1, 0, 1, 1000, 0, false) })
+	rec, eng := newRecorder(trace.RecorderConfig{MaxPerFlow: perFlow})
+	eng.Schedule(0, func() { rec.FlowArrive(1, 0, 1, 1000, 0, false) })
 	for i := 0; i < 3*perFlow; i++ {
 		prio := i % 2 // alternate so every Epoch is a real transition
-		eng.Schedule(sim.Duration(i+1)*sim.Microsecond, func() { s.Epoch(1, prio) })
+		eng.Schedule(sim.Duration(i+1)*sim.Microsecond, func() { rec.Epoch(1, prio) })
 	}
-	eng.Schedule(100*sim.Microsecond, func() { s.FlowEnd(1, false) })
+	eng.Schedule(100*sim.Microsecond, func() { rec.FlowEnd(1, false) })
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -125,23 +127,23 @@ func TestSpillMatchesBuffered(t *testing.T) {
 	// Spill mode streams flows out at completion; its bytes must equal
 	// the buffered path's canonical export exactly.
 	meta := trace.Meta{Proto: "DCTCP", Scenario: "test", NICBps: 1e9}
-	run := func(rec *trace.Recorder) {
-		driveFlows(t, rec, 50, func(i int) bool { return i%5 == 0 })
+	run := func(rec *trace.Recorder, eng *sim.Engine) {
+		driveFlows(t, rec, eng, 50, func(i int) bool { return i%5 == 0 })
 	}
 
-	buffered := trace.NewRecorder(trace.RecorderConfig{SampleN: 2, Seed: 3})
+	buffered, bufferedEng := newRecorder(trace.RecorderConfig{SampleN: 2, Seed: 3})
 	buffered.SetMeta(meta)
-	run(buffered)
+	run(buffered, bufferedEng)
 	var want bytes.Buffer
 	if err := buffered.Take().WritePerfetto(&want); err != nil {
 		t.Fatal(err)
 	}
 
 	var got bytes.Buffer
-	spill := trace.NewRecorder(trace.RecorderConfig{SampleN: 2, Seed: 3})
+	spill, spillEng := newRecorder(trace.RecorderConfig{SampleN: 2, Seed: 3})
 	spill.SpillTo(trace.NewPerfettoStream(&got))
 	spill.SetMeta(meta)
-	run(spill)
+	run(spill, spillEng)
 	rt := spill.Take()
 	if len(rt.Flows) != 0 {
 		t.Fatalf("spill mode retained %d flows", len(rt.Flows))
@@ -156,9 +158,9 @@ func TestSpillMatchesBuffered(t *testing.T) {
 }
 
 func TestPerfettoValidJSON(t *testing.T) {
-	rec := trace.NewRecorder(trace.RecorderConfig{})
+	rec, recEng := newRecorder(trace.RecorderConfig{})
 	rec.SetMeta(trace.Meta{Proto: "PASE", Scenario: "test", NICBps: 1e9})
-	driveFlows(t, rec, 10, func(i int) bool { return i == 3 })
+	driveFlows(t, rec, recEng, 10, func(i int) bool { return i == 3 })
 	rt := rec.Take()
 	rt.Ctrl = []trace.CtrlSpan{
 		{Flow: 1, SrcSide: true, Level: 1, Start: 100, Latency: 500, Outcome: trace.CtrlOK},
@@ -197,8 +199,8 @@ func TestPerfettoValidJSON(t *testing.T) {
 
 func TestRunTraceDigestSensitivity(t *testing.T) {
 	mk := func() *trace.RunTrace {
-		rec := trace.NewRecorder(trace.RecorderConfig{})
-		driveFlows(t, rec, 5, nil)
+		rec, recEng := newRecorder(trace.RecorderConfig{})
+		driveFlows(t, rec, recEng, 5, nil)
 		return rec.Take()
 	}
 	a, b := mk(), mk()

@@ -1,8 +1,8 @@
 // Package trace provides observation tooling for simulation runs: a
 // flow-event log, a periodic queue-occupancy sampler, and a span-based
 // flight recorder (span.go) with Chrome/Perfetto export (perfetto.go)
-// — all bounded, deterministic, and shard-safe. The simulator itself
-// never depends on tracing; experiments opt in.
+// — all bounded and deterministic. The simulator itself never
+// depends on tracing; experiments opt in.
 package trace
 
 import (
@@ -46,7 +46,8 @@ func kindRank(kind string) int {
 
 // SortFlowEvents puts events into the canonical (At, Flow, kind)
 // order — the order every writer emits, which is what makes traced
-// output byte-identical across shard counts and run modes.
+// output byte-identical across run modes and independent of how
+// same-instant events happened to execute.
 func SortFlowEvents(events []FlowEvent) {
 	sort.Slice(events, func(i, j int) bool {
 		a, b := events[i], events[j]
@@ -151,23 +152,13 @@ func (l *FlowLog) flushGroup() {
 	l.grp = l.grp[:0]
 }
 
-// MergeFlowEvents merges per-shard logs into the canonical order and
-// applies the run-wide cap (keeping the newest). The merged result is
-// shard-count-invariant: each log's ring holds its newest events, and
-// any event in the run-wide newest-cap set is necessarily among its
-// own shard's newest. It returns the merged events and the total shed.
-func MergeFlowEvents(logs []*FlowLog, cap int) ([]FlowEvent, int64) {
-	var all []FlowEvent
-	var total int64
-	for _, l := range logs {
-		all = append(all, l.Events()...)
-		total += l.Added()
-	}
-	SortFlowEvents(all)
-	if cap > 0 && len(all) > cap {
-		all = all[len(all)-cap:]
-	}
-	return all, total - int64(len(all))
+// Sorted returns a copy of the retained events in the canonical
+// (At, Flow, kind) order. Execution order within one instant is not
+// that order, and exported flow events must not depend on it.
+func (l *FlowLog) Sorted() []FlowEvent {
+	out := append([]FlowEvent(nil), l.Events()...)
+	SortFlowEvents(out)
+	return out
 }
 
 // WriteTSV dumps the log with a header row.
@@ -205,8 +196,7 @@ type QueueSample struct {
 	At   sim.Time
 	Port string
 	// Idx is the port's index in the run-wide sampling order (see
-	// AllPorts) — the tie-breaker that keeps merged multi-shard sample
-	// streams in one canonical order.
+	// AllPorts); samples are ordered by (At, Idx).
 	Idx   int
 	Len   int
 	Bytes int64
@@ -215,15 +205,11 @@ type QueueSample struct {
 // Sampler periodically records the occupancy of a set of ports. Ticks
 // run at the head of their instant (AtHead), so a sample reads the
 // queue state at the start of the tick time regardless of how
-// same-instant packet events interleave — serial and sharded runs
-// observe the same state.
+// same-instant packet events interleave.
 type Sampler struct {
 	eng   *sim.Engine
 	every sim.Duration
 	ports []*netem.Port
-	// Idx maps ports[i] to its run-wide index (nil = identity). Set
-	// before the run.
-	Idx []int
 	// Cap, when positive, bounds retained samples; the oldest are
 	// evicted first. Set before the run.
 	Cap     int
@@ -276,12 +262,8 @@ func (s *Sampler) schedule() {
 			if q.Len() == 0 {
 				continue // keep the log sparse: idle queues are implied
 			}
-			idx := i
-			if s.Idx != nil {
-				idx = s.Idx[i]
-			}
 			s.add(QueueSample{
-				At: now, Port: p.Name, Idx: idx, Len: q.Len(), Bytes: q.Bytes(),
+				At: now, Port: p.Name, Idx: i, Len: q.Len(), Bytes: q.Bytes(),
 			})
 		}
 		s.schedule()
@@ -303,7 +285,9 @@ func (s *Sampler) Stop() { s.stopped = true }
 // Added returns the total samples taken (including evicted ones).
 func (s *Sampler) Added() int64 { return s.pos }
 
-// Samples returns the retained samples, oldest first.
+// Samples returns the retained samples, oldest first — which is the
+// canonical (At, Idx) order, since each tick visits ports in index
+// order.
 func (s *Sampler) Samples() []QueueSample {
 	if s.Cap <= 0 || s.pos <= int64(len(s.samples)) {
 		return s.samples
@@ -312,29 +296,6 @@ func (s *Sampler) Samples() []QueueSample {
 	out := make([]QueueSample, 0, len(s.samples))
 	out = append(out, s.samples[at:]...)
 	return append(out, s.samples[:at]...)
-}
-
-// MergeQueueSamples merges per-shard samplers into the canonical
-// (At, Idx) order and applies the run-wide cap (keeping the newest).
-// Like MergeFlowEvents, the result is shard-count-invariant. It
-// returns the merged samples and the total shed.
-func MergeQueueSamples(samplers []*Sampler, cap int) ([]QueueSample, int64) {
-	var all []QueueSample
-	var total int64
-	for _, s := range samplers {
-		all = append(all, s.Samples()...)
-		total += s.Added()
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
-		}
-		return all[i].Idx < all[j].Idx
-	})
-	if cap > 0 && len(all) > cap {
-		all = all[len(all)-cap:]
-	}
-	return all, total - int64(len(all))
 }
 
 // MaxLenByPort aggregates the peak sampled occupancy per port.

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"pase/internal/check"
 	"pase/internal/metrics"
@@ -19,10 +18,6 @@ import (
 // last arrival before declaring the stragglers unfinished — the same
 // 10 s pad stored runs apply to the workload span.
 const streamGrace = sim.Duration(10 * sim.Second)
-
-// StreamGrace is the post-last-arrival grace period of streaming runs,
-// exported so the sharded runner's watchdog matches ScheduleStream's.
-const StreamGrace = streamGrace
 
 // Driver runs a workload over a built fabric: it installs one Stack
 // per host, schedules flow arrivals, and stops the simulation when
@@ -51,27 +46,8 @@ type Driver struct {
 	// sender starts transmitting (tracing hooks observe arrivals here).
 	OnFlowStart func(s *Sender)
 
-	// OnZero, when set, replaces the default stop logic when the last
-	// foreground flow completes. Sharded runs route it to the
-	// coordinator's stop request (an Engine.Stop on one shard would
-	// only halt that shard).
-	OnZero func()
-	// ChkOf, when set, selects the invariant checker for a completing
-	// flow by its source host — sharded runs keep one checker per
-	// shard, since a Checker is not concurrent-safe.
-	ChkOf func(src pkt.NodeID) *check.Checker
-	// DropRx, when set, routes streaming-mode receiver release to the
-	// destination host's shard instead of mutating the destination
-	// stack inline from the completing (source-side) event.
-	DropRx func(src, dst pkt.NodeID, flow pkt.FlowID)
-
-	// remaining is atomic: in sharded runs flows complete concurrently
-	// on different shards.
-	remaining atomic.Int64
+	remaining int64
 	started   []*Sender
-	// walkUnfinished forces unfinished() to walk the stacks' sender
-	// maps (sharded stored runs never populate started).
-	walkUnfinished bool
 
 	// Streaming-mode state: the iterator, the one pending arrival, and
 	// a reusable arrival closure (the hot path schedules no per-flow
@@ -108,22 +84,6 @@ func (d *Driver) Instrument(reg *obs.Registry) {
 	}
 }
 
-// InstrumentEach attaches per-host observability, resolving the
-// registry by host — sharded runs give every shard its own registry
-// (instruments are not concurrent-safe) and merge the snapshots.
-func (d *Driver) InstrumentEach(regOf func(h pkt.NodeID) *obs.Registry) {
-	for _, st := range d.Stacks {
-		reg := regOf(st.Host.ID())
-		st.obs = stackObs{
-			retx:        reg.Counter("transport/retx"),
-			timeouts:    reg.Counter("transport/timeouts"),
-			probes:      reg.Counter("transport/probes"),
-			rateUpdates: reg.Counter("transport/rate_updates"),
-			aborts:      reg.Counter("transport/aborts"),
-		}
-	}
-}
-
 // NewDriver builds stacks on every host of the fabric.
 func NewDriver(net *topology.Network, newControl func(*Sender) Control) *Driver {
 	d := &Driver{
@@ -134,9 +94,7 @@ func NewDriver(net *topology.Network, newControl func(*Sender) Control) *Driver 
 	d.Sink = d.Collector
 	for _, h := range net.Hosts {
 		h := h
-		// A host's stack lives on the engine its NIC is clocked by —
-		// net.Eng normally, the host's shard engine in sharded runs.
-		st := NewStack(h.Port().Engine(), h)
+		st := NewStack(net.Eng, h)
 		st.NewControl = newControl
 		st.Collector = d.Sink
 		st.BaseRTT = func(dst pkt.NodeID) sim.Duration { return net.BaseRTT(h.ID(), dst) }
@@ -185,30 +143,19 @@ func (d *Driver) checkFCT(chk *check.Checker, s *Sender) {
 }
 
 func (d *Driver) flowDone(s *Sender) {
-	chk := d.chk
-	if d.ChkOf != nil {
-		chk = d.ChkOf(s.Spec.Src)
-	}
-	if chk != nil && !s.Aborted {
-		d.checkFCT(chk, s)
+	if d.chk != nil && !s.Aborted {
+		d.checkFCT(d.chk, s)
 	}
 	if d.streaming {
-		if d.DropRx != nil {
-			d.DropRx(s.Spec.Src, s.Spec.Dst, s.Spec.ID)
-		} else {
-			d.Stacks[s.Spec.Dst].DropReceiver(s.Spec.ID)
-		}
+		d.Stacks[s.Spec.Dst].DropReceiver(s.Spec.ID)
 	}
 	if !s.Spec.Background {
 		// A streaming run may momentarily have zero flows in flight
 		// while arrivals are still pending; only stop once the
 		// iterator is exhausted too.
-		if d.remaining.Add(-1) == 0 {
-			if d.OnZero != nil {
-				d.OnZero()
-			} else if !d.streaming || d.streamDrained {
-				d.Eng.Stop()
-			}
+		d.remaining--
+		if d.remaining == 0 && (!d.streaming || d.streamDrained) {
+			d.Eng.Stop()
 		}
 	}
 	if d.OnFlowDone != nil {
@@ -221,7 +168,7 @@ func (d *Driver) Schedule(flows []workload.FlowSpec) {
 	for _, f := range flows {
 		f := f
 		if !f.Background {
-			d.remaining.Add(1)
+			d.remaining++
 		}
 		d.Eng.At(f.Start, func() {
 			s := d.Stack(f.Src).StartFlow(f)
@@ -285,38 +232,7 @@ func (d *Driver) onArrival() {
 
 func (d *Driver) startStreamFlow(f workload.FlowSpec) {
 	if !f.Background {
-		d.remaining.Add(1)
-	}
-	s := d.Stack(f.Src).StartFlow(f)
-	if d.OnFlowStart != nil {
-		d.OnFlowStart(s)
-	}
-}
-
-// Prime registers n foreground flows whose arrival events are
-// scheduled externally — the sharded runner places each arrival on its
-// source host's shard engine and starts it via StartArrival.
-func (d *Driver) Prime(n int) {
-	d.remaining.Add(int64(n))
-	d.walkUnfinished = true
-}
-
-// MarkStreaming switches the driver into streaming semantics (receiver
-// release on completion, stack-walk accounting) without installing an
-// iterator; the sharded runner injects arrivals itself and registers
-// each foreground flow with StreamArrival.
-func (d *Driver) MarkStreaming() {
-	d.streaming = true
-	d.walkUnfinished = true
-}
-
-// StartArrival starts flow f on its source stack at the current time —
-// the body of an externally scheduled arrival event. The foreground
-// count must have been primed (Prime for stored runs) or is registered
-// here (streaming runs).
-func (d *Driver) StartArrival(f workload.FlowSpec, primed bool) {
-	if !primed && !f.Background {
-		d.remaining.Add(1)
+		d.remaining++
 	}
 	s := d.Stack(f.Src).StartFlow(f)
 	if d.OnFlowStart != nil {
@@ -337,21 +253,19 @@ func (d *Driver) Run(maxTime sim.Time) (metrics.Summary, error) {
 			return metrics.Summary{}, err
 		}
 	} else {
-		if d.remaining.Load() == 0 {
+		if d.remaining == 0 {
 			return metrics.Summary{}, fmt.Errorf("transport: no foreground flows scheduled")
 		}
 		if err := d.Eng.RunUntil(maxTime); err != nil {
 			return metrics.Summary{}, err
 		}
 	}
-	d.FlushUnfinished()
+	d.flushUnfinished()
 	return d.Sink.Summarize(), nil
 }
 
-// FlushUnfinished records every cut-off foreground flow into the sink.
-// Run does this for serial runs; the sharded runner calls it after
-// draining the shard engines.
-func (d *Driver) FlushUnfinished() {
+// flushUnfinished records every cut-off foreground flow into the sink.
+func (d *Driver) flushUnfinished() {
 	for _, s := range d.unfinished() {
 		d.Sink.Add(metrics.FlowRecord{
 			ID:       uint64(s.Spec.ID),
@@ -371,7 +285,7 @@ func (d *Driver) FlushUnfinished() {
 // retains no such list) walks the stacks' live sender maps.
 func (d *Driver) unfinished() []*Sender {
 	var out []*Sender
-	if !d.streaming && !d.walkUnfinished {
+	if !d.streaming {
 		for _, s := range d.started {
 			if !s.Done && !s.Spec.Background {
 				out = append(out, s)
@@ -391,4 +305,4 @@ func (d *Driver) unfinished() []*Sender {
 }
 
 // Remaining returns how many foreground flows have not yet finished.
-func (d *Driver) Remaining() int { return int(d.remaining.Load()) }
+func (d *Driver) Remaining() int { return int(d.remaining) }

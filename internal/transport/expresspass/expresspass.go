@@ -17,9 +17,8 @@
 // times carry deterministic per-flow jitter to break the symmetry
 // synchronized incast senders would otherwise exhibit.
 //
-// Everything is per-host state driven by per-host engines, so
-// ExpressPass runs unchanged on the sharded engine and its runs are
-// byte-identical to serial ones.
+// Everything is per-host state: a host's credit engine touches only its
+// own flows and counters.
 package expresspass
 
 import (
@@ -80,7 +79,7 @@ func DefaultConfig() Config {
 }
 
 // Totals aggregates the credit plane's cost across every host, summed
-// in host-ID order so the result is deterministic at any shard count.
+// in host-ID order so the result is deterministic.
 type Totals struct {
 	// Credits / CreditBytes count credit packets paced out by
 	// receivers; Requests counts flow-opening credit requests.
@@ -105,8 +104,7 @@ type System struct {
 
 // hostState is one host's credit engine: per-flow crediting state for
 // flows this host receives, plus the host's credit-plane counters.
-// It is touched only by its host's engine, so sharded runs need no
-// synchronization.
+// It is touched only by its host's own events.
 type hostState struct {
 	sys     *System
 	st      *transport.Stack

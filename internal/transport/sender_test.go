@@ -46,7 +46,7 @@ func testRig(t *testing.T) (*topology.Network, *Driver, *nopControl) {
 
 func start(t *testing.T, d *Driver, size int64) *Sender {
 	t.Helper()
-	d.remaining.Add(1) // accounted manually since we bypass Schedule
+	d.remaining++ // accounted manually since we bypass Schedule
 	return d.Stack(0).StartFlow(workload.FlowSpec{ID: 1, Src: 0, Dst: 1, Size: size, Start: 0})
 }
 
@@ -66,7 +66,7 @@ func TestWindowLimitsInflight(t *testing.T) {
 
 func TestHoldBlocksTransmission(t *testing.T) {
 	net, d, _ := testRig(t)
-	d.remaining.Add(1)
+	d.remaining++
 	st := d.Stack(0)
 	// Install a control that holds in Init.
 	st.NewControl = func(*Sender) Control { return &holdControl{} }
@@ -184,7 +184,7 @@ func TestTimeoutTriggersGoBackN(t *testing.T) {
 
 func TestPacedModeRespectsRate(t *testing.T) {
 	net, d, _ := testRig(t)
-	d.remaining.Add(1)
+	d.remaining++
 	st := d.Stack(0)
 	st.NewControl = func(*Sender) Control { return &pacedControl{} }
 	var arrivals []sim.Time

@@ -122,7 +122,7 @@ const (
 	// fabric with per-flow ECMP.
 	ScenarioLeafSpine Scenario = Scenario(experiments.LeafSpine)
 	// ScenarioLeafSpineWide: a wider 8-leaf × 4-spine fabric (80 hosts)
-	// used by the sharded-engine benchmarks.
+	// for larger-fabric runs and benchmarks.
 	ScenarioLeafSpineWide Scenario = Scenario(experiments.LeafSpineWide)
 	// ScenarioTEFailover: a 4-leaf × 3-spine fabric (non-power-of-two
 	// spine count) for the routing-control-loop experiments — chaos
@@ -257,8 +257,8 @@ type SimConfig struct {
 	// epochs per priority queue, retransmission/timeout/fallback
 	// marks) plus PASE's control-plane exchanges through the
 	// arbitrator hierarchy. Export with Report.WritePerfetto. Traced
-	// runs shard and stream like untraced ones, and the exported bytes
-	// are identical at every shard count and parallelism.
+	// runs stream like untraced ones, and the exported bytes are
+	// identical in stored and streamed runs and at every parallelism.
 	SpanTrace bool
 	// TraceSampleN keeps 1 in N flow traces (0 or 1 = every flow),
 	// seed-driven so re-runs trace the same flows. Flows that
@@ -293,15 +293,6 @@ type SimConfig struct {
 	// SketchEps bounds the streaming quantile sketch's relative error
 	// (0 = the metrics package default, 0.005).
 	SketchEps float64
-	// Shards partitions the fabric across this many independently
-	// clocked engine shards synchronized by conservative lookahead
-	// (0 or 1 = serial). Results are byte-identical to a serial run at
-	// every shard count — trace output included. Runs that cannot
-	// shard — PASE and PDQ (their control planes are
-	// fabric-synchronous), spill-mode trace writers, and single-rack
-	// topologies — silently fall back to the serial engine (the
-	// shard/fallback_serial counter records it when Obs is set).
-	Shards int
 	// Reroute enables failure rerouting on leaf-spine fabrics: link
 	// up/down events from the fault plan immediately rehash the
 	// affected ECMP buckets onto surviving spines (uplink failures at
@@ -477,6 +468,9 @@ func normalize(cfg SimConfig) (SimConfig, error) {
 	default:
 		return cfg, fmt.Errorf("pase: unknown control plane %q (want \"hierarchy\" or \"central\")", cfg.Ctrl)
 	}
+	if err := cfg.Faults.Validate(); err != nil {
+		return cfg, err
+	}
 	return cfg, nil
 }
 
@@ -493,7 +487,6 @@ func pointConfig(cfg SimConfig) experiments.PointConfig {
 		Faults:    cfg.Faults,
 		Stream:    cfg.Stream,
 		SketchEps: cfg.SketchEps,
-		Shards:    cfg.Shards,
 		Route: route.Config{
 			Reroute: cfg.Reroute,
 			TE:      cfg.TE,
@@ -676,12 +669,6 @@ type FigureOpts struct {
 	// SketchEps bounds the streaming quantile sketch's relative error
 	// (0 = the metrics package default, 0.005).
 	SketchEps float64
-	// Shards runs every simulation point on this many engine shards
-	// synchronized by conservative lookahead (0 or 1 = serial; results
-	// byte-identical at every setting). Combines multiplicatively with
-	// Parallelism: a pooled figure runs up to Parallelism × Shards
-	// goroutines at once, so budget cores accordingly.
-	Shards int
 	// Trace runs every simulation point with the span flight recorder
 	// attached. Figure grids keep only scalar series per point, so the
 	// recorded spans themselves are dropped — but the recorder's
@@ -707,7 +694,7 @@ func expOpts(o FigureOpts) experiments.Opts {
 	return experiments.Opts{NumFlows: o.NumFlows, Seed: o.Seed, Seeds: o.Seeds,
 		Loads: o.Loads, Parallelism: o.Parallelism, Obs: o.Obs, Check: o.Check,
 		Faults: o.Faults, Progress: o.Progress,
-		Stream: o.Stream, SketchEps: o.SketchEps, Shards: o.Shards,
+		Stream: o.Stream, SketchEps: o.SketchEps,
 		Ctrl: o.Ctrl, Racks: o.Racks,
 		Trace: experiments.TraceConfig{Spans: o.Trace, SampleN: o.TraceSampleN}}
 }
@@ -773,6 +760,9 @@ func RunFigure(id string, opts FigureOpts) (*FigureData, error) {
 	if !ok {
 		return nil, fmt.Errorf("pase: unknown figure %q (see ListFigures)", id)
 	}
+	if err := opts.Faults.Validate(); err != nil {
+		return nil, err
+	}
 	res := fig.Run(expOpts(opts))
 	out := &FigureData{
 		ID: res.ID, Title: res.Title,
@@ -803,7 +793,6 @@ func NewSimManifest(tool string, cfg SimConfig, reps []*Report, parallelism int,
 		NumFlows: cfg.NumFlows, Seed: cfg.Seed, Seeds: len(reps),
 		Loads: []float64{cfg.Load}, Parallelism: parallelism,
 		Faults: cfg.Faults, Stream: cfg.Stream, SketchEps: cfg.SketchEps,
-		Shards: cfg.Shards,
 	}, started, wall)
 	m.Title = fmt.Sprintf("%s / %s @ load %g", cfg.Protocol, cfg.Scenario, cfg.Load)
 	snaps := make([]*Snapshot, len(reps))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pase"
+	"pase/internal/faults"
 )
 
 func TestSimulateValidation(t *testing.T) {
@@ -19,6 +20,15 @@ func TestSimulateValidation(t *testing.T) {
 	}
 	if _, err := pase.Simulate(pase.SimConfig{Load: 0.5, Scenario: "moon-base"}); err == nil {
 		t.Fatal("unknown scenario must be rejected")
+	}
+	// An out-of-range fault plan is a caller error, not a runner panic.
+	bad := pase.SimConfig{Protocol: pase.ProtocolDCTCP, Load: 0.5, NumFlows: 20,
+		Faults: &pase.FaultPlan{Loss: []faults.LossFault{{Link: -1, Rate: 2}}}}
+	if _, err := pase.Simulate(bad); err == nil || !strings.Contains(err.Error(), "loss rate") {
+		t.Fatalf("bad fault plan: err = %v, want the loss-rate validation error", err)
+	}
+	if _, err := pase.SimulateSeeds(bad, 2, 1); err == nil {
+		t.Fatal("SimulateSeeds must reject a bad fault plan")
 	}
 }
 
@@ -77,6 +87,10 @@ func TestListFiguresAndRun(t *testing.T) {
 	}
 	if _, err := pase.RunFigure("bogus", pase.FigureOpts{}); err == nil {
 		t.Fatal("unknown figure must error")
+	}
+	badPlan := &pase.FaultPlan{Loss: []faults.LossFault{{Link: -1, Rate: 2}}}
+	if _, err := pase.RunFigure("9a", pase.FigureOpts{NumFlows: 20, Faults: badPlan}); err == nil {
+		t.Fatal("a bad fault plan must error")
 	}
 	fig, err := pase.RunFigure("13b", pase.FigureOpts{NumFlows: 60, Loads: []float64{0.5}})
 	if err != nil {
