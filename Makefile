@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEmpiricalCDF$$' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantileSketch$$' -fuzztime 10s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 10s ./internal/sim/
 
 # ExpressPass conformance gate: the credit transport's digest suite
 # (pinned digest, stream==stored, faulted chaos re-run, incast

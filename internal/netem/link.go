@@ -21,6 +21,13 @@ type Port struct {
 	owner Node
 
 	busy bool
+	// txDone frees the line after a serialization; deliver carries the
+	// transmitted packets across the propagation delay. NewPort binds
+	// both once, so a hop allocates nothing. A lane fits because a port
+	// serializes one packet at a time over a fixed delay: its
+	// deliveries are FIFO.
+	txDone  func()
+	deliver *sim.Lane[*pkt.Packet]
 
 	// Faults, when set, lets a fault injector pause the transmitter
 	// (link down) and discard transmitted packets (loss/corruption).
@@ -54,7 +61,10 @@ type BlackholeObserver interface {
 // NewPort builds a port owned by node, draining q at rate with the
 // given one-way propagation delay.
 func NewPort(eng *sim.Engine, owner Node, q Queue, rate BitRate, delay sim.Duration) *Port {
-	return &Port{eng: eng, owner: owner, queue: q, rate: rate, delay: delay}
+	pt := &Port{eng: eng, owner: owner, queue: q, rate: rate, delay: delay}
+	pt.txDone = pt.onTxDone
+	pt.deliver = sim.NewLane(eng, pt.onDeliver)
+	return pt
 }
 
 // Connect wires two ports as the two directions of one full-duplex link.
@@ -118,19 +128,21 @@ func (pt *Port) pump() {
 	pt.TxBytes += int64(p.Size)
 	// Line becomes free after serialization; the packet lands at the
 	// peer one propagation delay later.
-	pt.eng.Schedule(ser, func() {
-		pt.busy = false
-		pt.pump()
-	})
+	pt.eng.Schedule(ser, pt.txDone)
 	if pt.Faults != nil && pt.Faults.Lose(pt, p) {
 		// Dropped or corrupted on the wire: bandwidth was consumed but
 		// the packet never reaches the peer.
 		return
 	}
-	pt.eng.Schedule(ser+pt.delay, func() {
-		pt.peer.owner.Receive(p, pt.peer)
-	})
+	pt.deliver.At(pt.eng.Now().Add(ser+pt.delay), p)
 }
+
+func (pt *Port) onTxDone() {
+	pt.busy = false
+	pt.pump()
+}
+
+func (pt *Port) onDeliver(p *pkt.Packet) { pt.peer.owner.Receive(p, pt.peer) }
 
 // Kick restarts a paused transmitter; the fault injector calls it when
 // a link outage ends so queued packets resume draining.

@@ -162,3 +162,23 @@ func TestBitRateString(t *testing.T) {
 		t.Fatalf("got %s %s %s", Gbps, 10*Gbps, 100*Mbps)
 	}
 }
+
+// TestPortHopZeroAllocs pins the hop hot path allocation-free: in
+// steady state a Send through a Prio queue, the tx-done event and the
+// delivery at the peer allocate nothing.
+func TestPortHopZeroAllocs(t *testing.T) {
+	eng, pt := hopPair()
+	p := &pkt.Packet{Size: pkt.MTU, Type: pkt.Data, Prio: 3}
+	hop := func() {
+		pt.Send(p)
+		for eng.Step() {
+		}
+	}
+	hop() // grow the delivery lane's ring once
+	if allocs := testing.AllocsPerRun(1000, hop); allocs != 0 {
+		t.Fatalf("port hop: %v allocs/op, want 0", allocs)
+	}
+	if pt.TxPackets != 1002 {
+		t.Fatalf("transmitted %d packets, want 1002", pt.TxPackets)
+	}
+}

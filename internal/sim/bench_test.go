@@ -66,3 +66,23 @@ func BenchmarkRandExp(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkLaneFire measures the steady-state append+fire cycle of a
+// lane holding 512 queued events — the shape of a busy link's
+// deliveries: the calendar holds one entry however deep the lane is.
+func BenchmarkLaneFire(b *testing.B) {
+	e := NewEngine()
+	const depth = 512
+	l := NewLane(e, func(int) {})
+	for i := 0; i < depth; i++ {
+		l.At(Time(0).Add(Duration(i)*Microsecond), i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.At(e.Now().Add(Duration(depth)*Microsecond), i)
+		e.Step()
+	}
+	for e.Step() {
+	}
+}

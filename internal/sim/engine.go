@@ -15,15 +15,20 @@ import (
 // one goroutine, which keeps event execution deterministic. Distinct
 // engines share nothing and may run on distinct goroutines.
 //
-// Internally the calendar is a 4-ary min-heap of recycled event
-// records: cancellation is O(1) lazy deletion (the record is marked
-// dead and discarded when it surfaces), and fired or dead records
-// return to a bounded free list instead of the garbage collector.
+// Internally the calendar is a 4-ary min-heap whose entries carry
+// their ordering key inline, next to a pointer to a recycled event
+// record: comparisons never dereference, cancellation is O(1) lazy
+// deletion (the record is marked dead and discarded when it surfaces),
+// and fired or dead records return to a bounded free list instead of
+// the garbage collector. A Lane keeps only its head event in the heap
+// and the rest in its own ring, so FIFO streams such as a link's
+// deliveries add one calendar entry, not one per packet in flight.
 type Engine struct {
 	now     Time
 	events  eventHeap
 	free    []*event // recycled records, capped at maxFree
 	dead    int      // stopped events still sitting in the heap
+	queued  int      // lane events waiting behind their lane's head
 	seq     uint64   // monotonically increasing tie-breaker
 	stopped bool
 	// Executed counts the number of events dispatched so far; it is
@@ -49,9 +54,13 @@ type Engine struct {
 // nil registry detaches it (the default state). The recorded streams:
 //
 //	sim/events_fired      events dispatched by Step
-//	sim/events_scheduled  events added by At/Schedule
+//	sim/events_scheduled  events added by At/Schedule/AtHead and
+//	                      lane appends
 //	sim/timers_stopped    successful Timer.Stop cancellations
-//	sim/heap_depth        calendar depth high-watermark (incl. dead)
+//	sim/heap_depth        calendar entries high-watermark: live
+//	                      events, stopped timers not yet discarded and
+//	                      one head per non-empty lane (lane events
+//	                      queued behind a head are not counted)
 func (e *Engine) Instrument(reg *obs.Registry) {
 	e.obsFired = reg.Counter("sim/events_fired")
 	e.obsSched = reg.Counter("sim/events_scheduled")
@@ -82,17 +91,16 @@ func NewEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// event is one calendar entry. Records are owned by the engine and
-// recycled after they fire or are cancelled; outstanding Timer handles
-// detect reuse through the generation counter.
+// event is the record behind a calendar entry. Records are owned by
+// the engine and recycled after they fire or are cancelled;
+// outstanding Timer handles detect reuse through the generation
+// counter. A lane's record is the lane's own and is never recycled.
 type event struct {
-	at      Time
-	seq     uint64
 	fn      func()
 	eng     *Engine
 	gen     uint32
-	head    bool // AtHead event: wins timestamp ties against At events
 	stopped bool
+	lane    bool
 }
 
 // Timer is a handle to a scheduled event, used for cancellation. The
@@ -151,19 +159,31 @@ func (e *Engine) At(t Time, fn func()) Timer {
 }
 
 func (e *Engine) schedule(t Time, fn func(), head bool) Timer {
+	key := e.nextKey(t)
+	if !head {
+		key |= tailBit
+	}
+	ev := e.alloc()
+	ev.fn = fn
+	e.push(t, key, ev)
+	return Timer{ev: ev, gen: ev.gen, at: t}
+}
+
+// nextKey takes the next sequence number for an event at t, counting
+// it as scheduled. Scheduling in the past panics.
+func (e *Engine) nextKey(t Time) uint64 {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	ev := e.alloc()
-	ev.at = t
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.head = head
-	e.events.push(ev)
 	e.obsSched.Inc()
+	return e.seq
+}
+
+// push adds a calendar entry.
+func (e *Engine) push(t Time, key uint64, ev *event) {
+	e.events.push(entry{at: t, key: key, ev: ev})
 	e.obsHeap.Update(int64(len(e.events)))
-	return Timer{ev: ev, gen: ev.gen, at: t}
 }
 
 // AtHead runs fn at absolute time t, ahead of every At/Schedule event
@@ -194,44 +214,46 @@ func (e *Engine) alloc() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.head = false
 	ev.stopped = false
 	if len(e.free) < maxFree {
 		e.free = append(e.free, ev)
 	}
 }
 
-// peek discards dead records until the earliest live event surfaces,
-// returning nil when the calendar holds no live events.
-func (e *Engine) peek() *event {
+// peek discards dead records until the earliest live event surfaces
+// at the top of the heap, reporting false when the calendar holds no
+// live events.
+func (e *Engine) peek() bool {
 	for len(e.events) > 0 {
-		ev := e.events[0]
+		ev := e.events[0].ev
 		if !ev.stopped {
-			return ev
+			return true
 		}
 		e.events.popTop()
 		e.dead--
 		e.recycle(ev)
 	}
-	return nil
+	return false
 }
 
 // Step executes the single earliest pending event. It reports false
 // when the calendar holds no live events.
 func (e *Engine) Step() bool {
-	ev := e.peek()
-	if ev == nil {
+	if !e.peek() {
 		return false
 	}
+	at, ev := e.events[0].at, e.events[0].ev
 	e.events.popTop()
 	if e.chk != nil {
-		e.chk.Monotonic("sim/engine", int64(e.now), int64(ev.at))
+		e.chk.Monotonic("sim/engine", int64(e.now), int64(at))
 	}
-	e.now = ev.at
+	e.now = at
 	e.Executed++
 	e.obsFired.Inc()
 	fn := ev.fn
-	e.recycle(ev)
+	if !ev.lane {
+		e.recycle(ev)
+	}
 	fn()
 	return true
 }
@@ -258,8 +280,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 		if e.Limit > 0 && e.Executed >= e.Limit {
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.Limit, e.now)
 		}
-		ev := e.peek()
-		if ev == nil || ev.at > deadline {
+		if !e.peek() || e.events[0].at > deadline {
 			break
 		}
 		e.Step()
@@ -273,23 +294,24 @@ func (e *Engine) RunUntil(deadline Time) error {
 // Stop makes Run return after the event currently executing.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of live (not cancelled) events queued.
-func (e *Engine) Pending() int { return len(e.events) - e.dead }
+// Pending returns the number of live (not cancelled) events queued,
+// lane events waiting behind their lane's head included.
+func (e *Engine) Pending() int { return len(e.events) - e.dead + e.queued }
 
 // compact filters dead records out of the heap in one O(n) pass and
 // re-establishes the heap property, bounding the memory cancelled
 // events can hold.
 func (e *Engine) compact() {
 	live := e.events[:0]
-	for _, ev := range e.events {
-		if ev.stopped {
-			e.recycle(ev)
+	for _, x := range e.events {
+		if x.ev.stopped {
+			e.recycle(x.ev)
 			continue
 		}
-		live = append(live, ev)
+		live = append(live, x)
 	}
 	for i := len(live); i < len(e.events); i++ {
-		e.events[i] = nil
+		e.events[i] = entry{}
 	}
 	e.events = live
 	e.dead = 0
@@ -302,26 +324,34 @@ func (e *Engine) freeLen() int { return len(e.free) }
 // heapLen reports the calendar size including dead records (test hook).
 func (e *Engine) heapLen() int { return len(e.events) }
 
+// entry is one calendar slot. The ordering key sits inline so heap
+// sifts compare two words without dereferencing the record: at, then
+// key, whose top bit is tailBit for At/Schedule events and clear for
+// AtHead events, above the event's sequence number.
+type entry struct {
+	at  Time
+	key uint64
+	ev  *event
+}
+
+// tailBit marks an At/Schedule key: AtHead keys lack it and so sort
+// first among events sharing a timestamp.
+const tailBit = 1 << 63
+
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.key < b.key)
+}
+
 // eventHeap is a 4-ary min-heap ordered by (time, head, seq): AtHead
 // events sort before At events at the same instant, and seq breaks the
 // remaining ties in FIFO scheduling order. Since every (time, seq) key
 // is unique the pop order is a total order — runs are deterministic
 // regardless of heap shape. The wider node fans out fewer cache-missed
 // levels per sift than a binary heap, which is what the hot path pays.
-type eventHeap []*event
+type eventHeap []entry
 
-func (h eventHeap) less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.head != b.head {
-		return a.head
-	}
-	return a.seq < b.seq
-}
-
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
+func (h *eventHeap) push(x entry) {
+	*h = append(*h, x)
 	h.siftUp(len(*h) - 1)
 }
 
@@ -330,7 +360,7 @@ func (h *eventHeap) popTop() {
 	old := *h
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = nil
+	old[n] = entry{}
 	*h = old[:n]
 	if n > 1 {
 		h.siftDown(0)
@@ -338,23 +368,22 @@ func (h *eventHeap) popTop() {
 }
 
 func (h eventHeap) siftUp(i int) {
-	ev := h[i]
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h.less(ev, h[parent]) {
+		if !x.before(&h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = ev
+	h[i] = x
 }
 
 func (h eventHeap) siftDown(i int) {
 	n := len(h)
-	ev := h[i]
+	x := h[i]
 	for {
-		min := -1
 		first := 4*i + 1
 		if first >= n {
 			break
@@ -363,19 +392,19 @@ func (h eventHeap) siftDown(i int) {
 		if last > n {
 			last = n
 		}
-		min = first
+		min := first
 		for c := first + 1; c < last; c++ {
-			if h.less(h[c], h[min]) {
+			if h[c].before(&h[min]) {
 				min = c
 			}
 		}
-		if !h.less(h[min], ev) {
+		if !h[min].before(&x) {
 			break
 		}
 		h[i] = h[min]
 		i = min
 	}
-	h[i] = ev
+	h[i] = x
 }
 
 // heapify restores the heap property over the whole slice.

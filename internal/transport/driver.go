@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pase/internal/check"
@@ -163,20 +165,29 @@ func (d *Driver) flowDone(s *Sender) {
 	}
 }
 
-// Schedule queues the flow arrivals onto the engine.
+// Schedule queues the flow arrivals onto the engine: one lane holding
+// the flows in Start order, so the calendar carries one pending arrival
+// instead of the whole schedule. The sort is stable and the lane takes
+// one contiguous block of sequence numbers, so arrivals fire in the
+// same order, and win the same timestamp ties, as one At per flow in
+// the given order.
 func (d *Driver) Schedule(flows []workload.FlowSpec) {
-	for _, f := range flows {
-		f := f
+	sorted := slices.Clone(flows)
+	slices.SortStableFunc(sorted, func(a, b workload.FlowSpec) int { return cmp.Compare(a.Start, b.Start) })
+	arrivals := sim.NewLane(d.Eng, d.startFlow)
+	for _, f := range sorted {
 		if !f.Background {
 			d.remaining++
 		}
-		d.Eng.At(f.Start, func() {
-			s := d.Stack(f.Src).StartFlow(f)
-			d.started = append(d.started, s)
-			if d.OnFlowStart != nil {
-				d.OnFlowStart(s)
-			}
-		})
+		arrivals.At(f.Start, f)
+	}
+}
+
+func (d *Driver) startFlow(f workload.FlowSpec) {
+	s := d.Stack(f.Src).StartFlow(f)
+	d.started = append(d.started, s)
+	if d.OnFlowStart != nil {
+		d.OnFlowStart(s)
 	}
 }
 

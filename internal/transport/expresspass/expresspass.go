@@ -141,6 +141,7 @@ type creditState struct {
 	stopAt     sim.Time
 
 	timer   sim.Timer
+	tickFn  func() // tick bound to this state once, at creation
 	stopped bool
 }
 
@@ -227,6 +228,7 @@ func (h *hostState) onCreditReq(p *pkt.Packet) {
 		periodEnd: now.Add(period),
 		stopAt:    now.Add(cfg.IdleTimeout),
 	}
+	cs.tickFn = func() { h.tick(cs) }
 	h.flows[p.Flow] = cs
 	h.tick(cs)
 }
@@ -282,7 +284,7 @@ func (h *hostState) tick(cs *creditState) {
 	cs.creditsSent++
 	h.credits++
 	h.creditBytes += pkt.CreditSize
-	cs.timer = h.st.Eng.Schedule(cs.gap(&h.sys.cfg), func() { h.tick(cs) })
+	cs.timer = h.st.Eng.Schedule(cs.gap(&h.sys.cfg), cs.tickFn)
 }
 
 // gap returns the next credit spacing: the serialization time of the

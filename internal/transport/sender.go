@@ -88,6 +88,10 @@ type Sender struct {
 	backoff      int
 	rtoTimer     sim.Timer
 	paceTimer    sim.Timer
+	// paceFn / rtoFn are pump and onTimeout bound once per Sender
+	// record; they survive the free-list reset so timers allocate
+	// nothing.
+	paceFn, rtoFn func()
 
 	// lastProgress is the last instant a segment was newly acknowledged
 	// (flow start before any ACK); Stack.AbortAfter measures from it.
@@ -120,10 +124,12 @@ func newSender(st *Stack, spec workload.FlowSpec) *Sender {
 			Cwnd:          1,
 			SSThresh:      1 << 20,
 			lastProgress:  st.Eng.Now(),
+			paceFn:        s.paceFn,
+			rtoFn:         s.rtoFn,
 		}
 		return s
 	}
-	return &Sender{
+	s := &Sender{
 		st:            st,
 		Spec:          spec,
 		Segs:          segs,
@@ -133,6 +139,8 @@ func newSender(st *Stack, spec workload.FlowSpec) *Sender {
 		SSThresh:      1 << 20,
 		lastProgress:  st.Eng.Now(),
 	}
+	s.paceFn, s.rtoFn = s.pump, s.onTimeout
+	return s
 }
 
 // resetStates returns a zeroed segState slice of length n, reusing
@@ -289,7 +297,7 @@ func (s *Sender) pump() {
 	}
 	s.transmit(seq)
 	gap := s.Rate.Serialize(pkt.SegmentWireSize(s.Spec.Size, seq))
-	s.paceTimer = s.st.Eng.Schedule(gap, func() { s.pump() })
+	s.paceTimer = s.st.Eng.Schedule(gap, s.paceFn)
 	s.armRTO()
 }
 
@@ -513,7 +521,7 @@ func (s *Sender) armRTO() {
 	if s.rtoTimer.Pending() {
 		return
 	}
-	s.rtoTimer = s.st.Eng.Schedule(s.RTO(), func() { s.onTimeout() })
+	s.rtoTimer = s.st.Eng.Schedule(s.RTO(), s.rtoFn)
 }
 
 func (s *Sender) resetRTO() {
